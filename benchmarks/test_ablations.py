@@ -15,7 +15,7 @@ from repro.experiments import ablations
 
 
 def test_table_size(once):
-    result = once(ablations.table_size)
+    result = once(ablations.DRIVERS["ablate-table-size"].render)
     baseline = result.average("entries-512")
     small_table = result.average("entries-128")
     # Small tables sacrifice little MPKI coverage.
@@ -25,7 +25,7 @@ def test_table_size(once):
 
 
 def test_compute_function(once):
-    result = once(ablations.compute_function)
+    result = once(ablations.DRIVERS["ablate-compute-fn"].render)
     print()
     print(result.format_table())
     # "We tried different LHB functions such as strides and deltas and
@@ -43,7 +43,7 @@ def test_compute_function(once):
 
 
 def test_int_confidence(once):
-    result = once(ablations.int_confidence)
+    result = once(ablations.DRIVERS["ablate-int-confidence"].render)
     # Gating integer data on confidence can only reduce coverage (raise
     # effective MPKI); the exemption buys MPKI essentially for free.
     assert result.average("mpki-confidence") >= result.average(
@@ -54,7 +54,7 @@ def test_int_confidence(once):
 
 
 def test_confidence_steps(once):
-    result = once(ablations.confidence_steps)
+    result = once(ablations.DRIVERS["ablate-confidence-steps"].render)
     # The variable-step optimisation must not blow up error...
     for step in (1, 2, 4):
         assert result.average(f"error-step-{step}") < 0.30
@@ -65,7 +65,7 @@ def test_confidence_steps(once):
 
 
 def test_lhb_size(once):
-    result = once(ablations.lhb_size)
+    result = once(ablations.DRIVERS["ablate-lhb-size"].render)
     # A single-entry LHB (last-value) still works; deeper history shouldn't
     # be catastrophically different — the knob is gentle.
     for size in (1, 2, 4, 8):
@@ -77,7 +77,7 @@ def test_lhb_size(once):
 def test_noc_model_calibration(once):
     from repro.experiments import noc_calibration
 
-    result = once(noc_calibration.run)
+    result = once(noc_calibration.DRIVER.render)
     fast = result.series["fast_latency"]
     detailed = result.series["detailed_latency"]
     # Agreement at the lowest load point, divergence bounded overall.
@@ -92,7 +92,7 @@ def test_noc_model_calibration(once):
 def test_sensitivity_tornado(once):
     from repro.experiments import sensitivity
 
-    result = once(sensitivity.run)
+    result = once(sensitivity.DRIVER.render)
     deltas = result.series["mpki_delta"]
     # The paper's two headline knobs must dominate the tornado: relaxing
     # the confidence window moves MPKI more than tweaking table size or

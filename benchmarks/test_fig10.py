@@ -12,7 +12,7 @@ from repro.experiments import fig10
 
 
 def test_fig10(once):
-    result = once(fig10.run)
+    result = once(fig10.DRIVER.render)
 
     speedup0 = result.average("speedup-approx-0")
     assert 0.02 < speedup0 < 0.25  # the paper's 8.5% band

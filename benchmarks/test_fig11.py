@@ -10,7 +10,7 @@ from repro.experiments import fig11
 
 
 def test_fig11(once):
-    result = once(fig11.run)
+    result = once(fig11.DRIVER.render)
 
     averages = {d: result.average(f"approx-{d}") for d in (0, 2, 4, 8, 16)}
 

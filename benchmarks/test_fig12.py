@@ -10,7 +10,7 @@ from repro.experiments import fig12
 
 
 def test_fig12(once):
-    result = once(fig12.run)
+    result = once(fig12.DRIVER.render)
     counts = result.series["static_approx_pcs"]
 
     assert counts["x264"] == max(counts.values())

@@ -10,7 +10,7 @@ from repro.experiments import fig13
 
 
 def test_fig13(once):
-    result = once(fig13.run)
+    result = once(fig13.DRIVER.render)
     mpki = result.series["normalized_mpki"]
     error = result.series["output_error"]
 

@@ -9,7 +9,7 @@ from repro.experiments import fig4
 
 
 def test_fig4(once):
-    result = once(fig4.run)
+    result = once(fig4.DRIVER.render)
 
     # LVA beats the idealized predictor at the paper's baseline (GHB 0).
     assert result.average("LVA-GHB-0") < result.average("LVP-GHB-0")

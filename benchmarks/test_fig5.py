@@ -10,7 +10,7 @@ from repro.experiments import fig5
 
 
 def test_fig5(once):
-    result = once(fig5.run)
+    result = once(fig5.DRIVER.render)
     baseline = result.series["GHB-0"]
 
     for name, error in baseline.items():

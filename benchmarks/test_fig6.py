@@ -9,7 +9,7 @@ from repro.experiments import fig6
 
 
 def test_fig6(once):
-    result = once(fig6.run)
+    result = once(fig6.DRIVER.render)
 
     mpki = [result.average(f"mpki-{label}") for label in ("0%", "5%", "10%", "20%", "infinite")]
     error = [result.average(f"error-{label}") for label in ("0%", "5%", "10%", "20%", "infinite")]

@@ -10,7 +10,7 @@ from repro.experiments import fig7
 
 
 def test_fig7(once):
-    result = once(fig7.run)
+    result = once(fig7.DRIVER.render)
 
     # Average MPKI varies by only a small margin across the whole sweep.
     mpki = [result.average(f"mpki-delay-{d}") for d in (4, 8, 16, 32)]

@@ -12,7 +12,7 @@ from repro.experiments import fig8
 
 
 def test_fig8(once):
-    result = once(fig8.run)
+    result = once(fig8.DRIVER.render)
 
     prefetch_fetches = [result.average(f"prefetch-{d}-fetches") for d in (2, 4, 8, 16)]
     approx_fetches = [result.average(f"approx-{d}-fetches") for d in (2, 4, 8, 16)]

@@ -8,7 +8,7 @@ from repro.experiments import fig9
 
 
 def test_fig9(once):
-    result = once(fig9.run)
+    result = once(fig9.DRIVER.render)
     print()
     print(result.format_table())
 

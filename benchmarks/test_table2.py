@@ -4,7 +4,7 @@ from repro.experiments import table2
 
 
 def test_table2(once):
-    result = once(table2.run)
+    result = once(table2.DRIVER.render)
     values = result.series["value"]
     assert values["cores"] == 4
     assert values["l1_kb"] == 16

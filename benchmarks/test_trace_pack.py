@@ -3,8 +3,8 @@
 The workload trace is captured ONCE at module scope (capture is the
 expensive step the trace store exists to amortise); the benchmarks then
 time the packed-path primitives in isolation: pack/unpack conversion,
-trace-store round-trips, and replay throughput through both the phase-1
-and phase-2 simulators. They guard the hot loops this PR vectorised.
+``event_tuples``, trace-store round-trips, and full-system replay
+throughput.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from repro.core.config import ApproximatorConfig
 from repro.experiments import tracestore
 from repro.fullsystem import FullSystemConfig, FullSystemSimulator
 from repro.sim.trace import LoadEvent, Trace
-from repro.sim.tracesim import Mode, TraceSimulator
 
 
 def _synthetic_trace(n: int = 8192) -> Trace:
@@ -86,28 +85,6 @@ def test_store_warm_get(benchmark, tmp_path):
     assert loaded is not None
 
 
-def test_tracesim_packed_replay_throughput(benchmark, captured, monkeypatch):
-    monkeypatch.setenv("REPRO_REPLAY_KERNEL", "packed")
-    packed = captured.pack()
-
-    def replay():
-        return TraceSimulator(Mode.LVA).replay(packed)
-
-    stats = benchmark(replay)
-    assert stats.loads == sum(1 for e in captured.events if not e.is_store)
-
-
-def test_tracesim_vector_replay_throughput(benchmark, captured, monkeypatch):
-    monkeypatch.setenv("REPRO_REPLAY_KERNEL", "vector")
-    packed = captured.pack()
-
-    def replay():
-        return TraceSimulator(Mode.LVA).replay(packed)
-
-    stats = benchmark(replay)
-    assert stats.loads == sum(1 for e in captured.events if not e.is_store)
-
-
 def test_fullsystem_packed_replay_throughput(benchmark, captured):
     packed = captured.pack()
     config = FullSystemConfig(
@@ -119,78 +96,3 @@ def test_fullsystem_packed_replay_throughput(benchmark, captured):
 
     result = benchmark(replay)
     assert result.loads > 0
-
-
-def test_write_bench_replay_json(monkeypatch, captured):
-    """Record the replay-throughput curve (events/sec per path, per
-    workload) to ``BENCH_replay.json`` so future re-anchors can see the
-    perf trajectory — and assert the headline claim: the vector kernel
-    beats the packed interpreter on the largest workload.
-
-    Uses ``time.perf_counter`` directly (not the ``benchmark`` fixture)
-    so the file is written even under ``--benchmark-disable``. Output
-    path overridable via ``REPRO_BENCH_OUT``.
-    """
-    import json
-    import os
-    import time
-    from pathlib import Path
-
-    from repro import TraceRecorder, get_workload
-    from repro.envspec import BENCH_OUT_ENV
-    from repro.experiments.common import BASELINE_WORKLOADS
-
-    def events_per_sec(packed, path):
-        if path == "default":
-            # Auto-selection: vector when eligible and the trace clears
-            # REPRO_REPLAY_VECTOR_MIN, packed below the threshold.
-            monkeypatch.delenv("REPRO_REPLAY_KERNEL", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_REPLAY_KERNEL", path)
-        # One warm-up, then the timed run.
-        TraceSimulator(Mode.LVA).replay(packed)
-        sim = TraceSimulator(Mode.LVA)
-        start = time.perf_counter()
-        sim.replay(packed)
-        elapsed = time.perf_counter() - start
-        return len(packed) / elapsed if elapsed > 0 else float("inf")
-
-    results = {}
-    for name in BASELINE_WORKLOADS:
-        recorder = TraceRecorder(record_stores=True)
-        sim = TraceSimulator(Mode.PRECISE, recorder=recorder)
-        get_workload(name, small=True).execute(sim, 0)
-        sim.finish()
-        packed = recorder.trace.pack()
-        results[name] = {
-            path: round(events_per_sec(packed, path))
-            for path in ("object", "packed", "vector", "default")
-        }
-        results[name]["events"] = len(packed)
-
-    large = captured.pack()
-    results["canneal-large"] = {
-        path: round(events_per_sec(large, path))
-        for path in ("object", "packed", "vector", "default")
-    }
-    results["canneal-large"]["events"] = len(large)
-
-    out = Path(os.environ.get(BENCH_OUT_ENV, "BENCH_replay.json"))
-    # Read-modify-write so the per-config curves recorded by
-    # benchmarks/test_kernels.py under "configs" survive.
-    merged = json.loads(out.read_text()) if out.exists() else {}
-    merged.update({"mode": "lva", "unit": "events/sec", "workloads": results})
-    out.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-
-    # The headline assertion: the vector kernel must beat the packed
-    # interpreter on the largest workload (benchmark noise makes the
-    # exact ratio environment-dependent; the ≥5× target is recorded in
-    # the JSON rather than asserted).
-    big = results["canneal-large"]
-    assert big["vector"] > big["packed"], big
-
-    # And the swaptions fix: its trace sits below the vector threshold,
-    # so default selection must route it to the packed interpreter
-    # instead of regressing onto the vector kernel.
-    small = results["swaptions"]
-    assert small["default"] > small["vector"], small

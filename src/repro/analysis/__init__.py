@@ -28,8 +28,8 @@ LVA007    env-influence soundness — every ``REPRO_*`` read resolves to
           reach a cache-key function, ``neutral``/``capture-only``
           variables provably do not (whole-program taint)
 LVA008    worker-path determinism — the LVA001 checks, extended
-          interprocedurally along call paths from worker entry points,
-          kernel batch functions and simulator entry points
+          interprocedurally along call paths from worker entry points
+          and simulator entry points
 LVA009    mmap write discipline — no stores into arrays obtained from
           ``np.load(mmap_mode=...)`` or ``TraceStore.get`` (the packed
           columns are shared read-only across processes)
@@ -62,14 +62,12 @@ from repro.analysis.engine import (
     run_paths,
     stale_suppressions,
 )
-from repro.analysis.incremental import IncrementalResult, run_paths_incremental
 from repro.analysis.report import render_text, summary_line
 from repro.analysis.sarif import render_sarif, to_sarif
 
 __all__ = [
     "AnalysisConfig",
     "DEFAULT_CONFIG",
-    "IncrementalResult",
     "ModuleInfo",
     "ProjectContext",
     "Rule",
@@ -84,7 +82,6 @@ __all__ = [
     "rule_ids",
     "run_modules_raw",
     "run_paths",
-    "run_paths_incremental",
     "stale_suppressions",
     "summary_line",
     "to_sarif",

@@ -7,7 +7,6 @@ Usage::
     lva-lint --ignore LVA005 src/
     lva-lint src/ --sarif lint.sarif   # also write a SARIF 2.1.0 log
     lva-lint src/ --stale-ignores      # flag suppressions that silence nothing
-    lva-lint src/ --incremental        # reuse .lva-cache.json across runs
     lva-lint --list-rules
 
 Suppress a single line with ``# lva: ignore[LVA001]`` (or a blanket
@@ -21,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import FrozenSet, List, Optional
 
-from repro.analysis import core, engine, incremental, report, sarif
+from repro.analysis import core, engine, report, sarif
 from repro.analysis.core import Violation
 
 
@@ -73,18 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--incremental",
-        metavar="CACHE",
-        nargs="?",
-        const=".lva-cache.json",
-        default=None,
-        help=(
-            "reuse cached per-file results; only the dependency cone of "
-            "changed files is re-checked (cache file defaults to "
-            ".lva-cache.json; put the flag after the paths)"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the registered rules and exit",
@@ -110,22 +97,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     select = _parse_rule_set(args.select)
     ignore = _parse_rule_set(args.ignore)
 
-    extra = ""
     infos, errors = engine.load_modules(files)
-    if args.incremental is not None:
-        result = incremental.run_paths_incremental(
-            args.paths, Path(args.incremental), select=select, ignore=ignore
-        )
-        violations = result.violations
-        extra = (
-            f" [incremental: {len(result.analyzed)} re-analyzed, "
-            f"{len(result.reused)} reused]"
-        )
-    else:
-        violations = sorted(
-            errors + engine.run_modules(infos, select=select, ignore=ignore),
-            key=Violation.sort_key,
-        )
+    violations = sorted(
+        errors + engine.run_modules(infos, select=select, ignore=ignore),
+        key=Violation.sort_key,
+    )
     if args.stale_ignores:
         # Staleness is judged against the FULL rule set: a suppression
         # of a rule merely excluded by --select is dormant, not stale.
@@ -139,7 +115,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if violations:
         print(report.render_text(violations))
     if not args.no_summary:
-        print(report.summary_line(violations, len(files)) + extra)
+        print(report.summary_line(violations, len(files)))
     return 1 if violations else 0
 
 

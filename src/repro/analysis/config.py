@@ -50,26 +50,9 @@ class AnalysisConfig:
         telemetry_modules: Packages whose module-level API LVA006
             forbids calling from hot methods (hook resolution belongs in
             ``__init__``, not on the per-load path).
-        kernel_modules: Modules holding the vectorized replay kernels;
-            LVA003 additionally requires that their batch-contract
-            functions (named per ``kernel_fn_suffixes``) contain no
-            per-event Python loops, comprehensions, or event-field
-            attribute reads — those functions must stay whole-column
-            numpy passes.
-        kernel_fn_suffixes: Function-name suffixes marking the batch
-            contract inside ``kernel_modules``.
-        batch_method_suffixes: Method-name suffixes marking predictor
-            batch entry points (``on_miss_batch``/``train_batch``)
-            inside hot-path packages; LVA003 forbids event-field reads
-            in them — batch methods receive scalar columns, never event
-            objects — but their scalar-fallback loops are allowed.
-        event_fields: Per-event attribute names whose read inside a
-            kernel function or batch method betrays scalar
-            (object-at-a-time) access.
         flow_entry_points: Extra call-graph roots (``module:Qual.name``)
             for LVA008's reachability sweep — the public simulation
-            entry methods; worker entries and kernel batch functions are
-            added automatically.
+            entry methods; worker entries are added automatically.
         flow_exempt_modules: Packages exempt from LVA008 even when
             reachable (telemetry legitimately reads clocks).
         key_function_markers: Substrings of a function name marking it
@@ -134,19 +117,6 @@ class AnalysisConfig:
     stats_packages: Tuple[str, ...] = field(default=())
     telemetry_hook_attrs: Tuple[str, ...] = ("_tel",)
     telemetry_modules: Tuple[str, ...] = ("repro.telemetry",)
-    kernel_modules: Tuple[str, ...] = ("repro.sim.kernels",)
-    kernel_fn_suffixes: Tuple[str, ...] = ("_kernel", "_span", "_spans")
-    batch_method_suffixes: Tuple[str, ...] = ("_batch",)
-    event_fields: Tuple[str, ...] = (
-        "tid",
-        "pc",
-        "addr",
-        "value",
-        "is_float",
-        "approximable",
-        "gap",
-        "is_store",
-    )
     flow_entry_points: Tuple[str, ...] = (
         "repro.fullsystem.system:FullSystemSimulator.run",
         "repro.fullsystem.system:FullSystemSimulator.replay_events",
@@ -186,25 +156,6 @@ class AnalysisConfig:
 
     def is_stats_module(self, module: str) -> bool:
         return in_packages(module, self.effective_stats_packages())
-
-    def is_kernel_module(self, module: str) -> bool:
-        return in_packages(module, self.kernel_modules)
-
-    def is_kernel_function(self, function_name: str) -> bool:
-        """True when a function name carries the batch (whole-column)
-        contract inside a kernel module."""
-        for suffix in self.kernel_fn_suffixes:
-            if function_name.endswith(suffix):
-                return True
-        return False
-
-    def is_batch_method(self, method_name: str) -> bool:
-        """True when a method name carries the predictor batch contract
-        (scalar columns in, never event objects) in a hot-path module."""
-        for suffix in self.batch_method_suffixes:
-            if method_name.endswith(suffix):
-                return True
-        return False
 
     def is_flow_exempt(self, module: str) -> bool:
         """True when LVA008 must not report inside ``module``."""

@@ -126,10 +126,6 @@ class Rule(abc.ABC):
 
     rule_id: str = ""
     title: str = ""
-    #: False when :meth:`check` feeds a cross-module index that
-    #: :meth:`finish` consumes (LVA005): the incremental runner must
-    #: then run ``check`` over *every* module, not just changed ones.
-    incremental_safe: bool = True
 
     @abc.abstractmethod
     def check(self, info: ModuleInfo, ctx: ProjectContext) -> Iterator[Violation]:

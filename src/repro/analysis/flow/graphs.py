@@ -114,8 +114,6 @@ class ProjectGraph:
         self.call_edges: Dict[str, Set[str]] = {}
         #: (caller qualname, id(call node)) -> callee qualname.
         self._call_resolution: Dict[Tuple[str, int], str] = {}
-        #: project-wide import edges (module -> imported project modules).
-        self.import_edges: Dict[str, Set[str]] = {}
         self.env_reads: List[EnvRead] = []
         #: module -> ids of nodes inside top-level defs/classes (so the
         #: module pseudo-function can skip them in O(1)).
@@ -144,19 +142,16 @@ class ProjectGraph:
         self.bindings[module] = {}
         self._module_funcs[module] = {}
         self._module_classes[module] = {}
-        self.import_edges[module] = set()
         for node in ast.walk(info.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     local = alias.asname or alias.name.split(".")[0]
                     target = alias.name if alias.asname else alias.name.split(".")[0]
                     self.bindings[module][local] = Binding("module", target)
-                    self._note_import(module, alias.name)
             elif isinstance(node, ast.ImportFrom):
                 target = self._from_target(module, node)
                 if target is None:
                     continue
-                self._note_import(module, target)
                 for alias in node.names:
                     if alias.name == "*":
                         continue
@@ -204,16 +199,6 @@ class ProjectGraph:
         if node.module:
             base = base + node.module.split(".")
         return ".".join(base) if base else None
-
-    def _note_import(self, module: str, target: str) -> None:
-        # Record project-internal import edges at every package depth so
-        # the incremental cache can compute dependency cones.
-        parts = target.split(".")
-        for depth in range(len(parts), 0, -1):
-            candidate = ".".join(parts[:depth])
-            if candidate in self.modules and candidate != module:
-                self.import_edges[module].add(candidate)
-                break
 
     def _index_function(
         self, module: str, cls: Optional[str], node: ast.AST

@@ -9,20 +9,7 @@ on two properties that regress silently:
 * the per-load methods named in :attr:`AnalysisConfig.hot_methods` must
   not allocate per call: no lambdas, comprehensions, generator
   expressions or nested function definitions (each builds a new object
-  every invocation on the hottest path in the library);
-* the batch-contract functions of the vectorized replay kernels
-  (``*_kernel``/``*_span`` names inside
-  :attr:`AnalysisConfig.kernel_modules`) must stay whole-column numpy
-  passes: no per-event Python loops or comprehensions, and no reads of
-  per-event dataclass fields (``event.pc`` inside a kernel means the
-  vectorisation quietly fell back to object-at-a-time access);
-* predictor batch methods (``*_batch`` names per
-  :attr:`AnalysisConfig.batch_method_suffixes` in hot-path packages)
-  receive plain scalar columns — ``pcs``, ``addrs``, ``tokens`` — and
-  must never read per-event dataclass fields. Unlike kernel functions
-  they *may* loop: the scalar-fallback implementations iterate by
-  design; the contract is only about what flows in, not how it is
-  consumed.
+  every invocation on the hottest path in the library).
 """
 
 from __future__ import annotations
@@ -65,100 +52,12 @@ class HotPathRule(Rule):
             return iter(())
         violations: List[Violation] = []
         hot_methods = frozenset(ctx.config.hot_methods)
-        event_fields = frozenset(ctx.config.event_fields)
         for node in ast.walk(info.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
             self._check_dataclass(info, node, violations)
             self._check_methods(info, node, hot_methods, violations)
-            for method in node.body:
-                if isinstance(method, ast.FunctionDef) and ctx.config.is_batch_method(
-                    method.name
-                ):
-                    self._check_batch_method(
-                        info, node, method, event_fields, violations
-                    )
-        if ctx.config.is_kernel_module(info.module):
-            for stmt in info.tree.body:
-                if isinstance(stmt, ast.FunctionDef) and ctx.config.is_kernel_function(
-                    stmt.name
-                ):
-                    self._check_kernel_function(info, stmt, event_fields, violations)
         return iter(violations)
-
-    def _check_kernel_function(
-        self,
-        info: ModuleInfo,
-        fn: ast.FunctionDef,
-        event_fields: FrozenSet[str],
-        out: List[Violation],
-    ) -> None:
-        for child in ast.walk(fn):
-            if isinstance(child, (ast.For, ast.AsyncFor, ast.While)):
-                out.append(
-                    self.violation(
-                        info,
-                        child,
-                        f"kernel function '{fn.name}' contains a per-event "
-                        "Python loop; batch-contract functions must express "
-                        "the pass as whole-column numpy operations",
-                    )
-                )
-            elif isinstance(child, _ALLOCATING_NODES) and not isinstance(
-                child, ast.Lambda
-            ):
-                out.append(
-                    self.violation(
-                        info,
-                        child,
-                        f"kernel function '{fn.name}' contains "
-                        f"{_ALLOCATION_LABEL[type(child)]}; comprehensions "
-                        "iterate per event — use whole-column numpy "
-                        "operations instead",
-                    )
-                )
-            elif (
-                isinstance(child, ast.Attribute)
-                and isinstance(child.ctx, ast.Load)
-                and child.attr in event_fields
-            ):
-                out.append(
-                    self.violation(
-                        info,
-                        child,
-                        f"kernel function '{fn.name}' reads per-event field "
-                        f"'.{child.attr}'; kernels operate on packed columns, "
-                        "not event objects",
-                    )
-                )
-
-    def _check_batch_method(
-        self,
-        info: ModuleInfo,
-        cls: ast.ClassDef,
-        method: ast.FunctionDef,
-        event_fields: FrozenSet[str],
-        out: List[Violation],
-    ) -> None:
-        """Batch methods consume scalar columns; an event-field read
-        means an event object leaked across the batch boundary. Loops
-        stay legal — the scalar fallbacks iterate by design."""
-        for child in ast.walk(method):
-            if (
-                isinstance(child, ast.Attribute)
-                and isinstance(child.ctx, ast.Load)
-                and child.attr in event_fields
-            ):
-                out.append(
-                    self.violation(
-                        info,
-                        child,
-                        f"batch method '{cls.name}.{method.name}' reads "
-                        f"per-event field '.{child.attr}'; batch methods "
-                        "receive scalar columns (pcs, addrs, tokens), "
-                        "never event objects",
-                    )
-                )
 
     def _check_dataclass(
         self, info: ModuleInfo, node: ast.ClassDef, out: List[Violation]

@@ -152,9 +152,6 @@ class StatsConsistencyRule(Rule):
     """Two-way check between Stats declarations and counter writes."""
 
     rule_id = "LVA005"
-    # check() accumulates the project-wide Stats index that finish()
-    # consumes, so it must visit every module on every run.
-    incremental_safe = False
     title = "stats counters: writes match declarations, declarations are written"
 
     def check(self, info: ModuleInfo, ctx: ProjectContext) -> Iterator[Violation]:

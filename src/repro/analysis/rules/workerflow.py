@@ -1,4 +1,4 @@
-"""LVA008 — determinism along worker- and kernel-reachable call paths.
+"""LVA008 — determinism along worker-reachable call paths.
 
 LVA001 polices the simulation packages directly, but a sweep worker's
 result must be reproducible end to end: a wall-clock read or unseeded
@@ -7,8 +7,8 @@ resumability just as surely as one inside the simulator. This rule
 extends the LVA001 checks interprocedurally:
 
 * roots: every worker entry point (``_run_*`` / ``*_worker`` functions
-  in the worker modules), every kernel batch function, and the
-  configured public simulation entries (``flow_entry_points``);
+  in the worker modules) and the configured public simulation entries
+  (``flow_entry_points``);
 * the call graph is walked breadth-first, and each reachable function
   in a module *not* already covered by LVA001 (and not flow-exempt —
   telemetry legitimately reads clocks) is checked function-scoped for
@@ -56,10 +56,6 @@ class WorkerFlowRule(Rule):
                 # Pool worker entries are picklable module-level
                 # functions; supervisor *methods* matching the pattern
                 # are host-side and may use wall-clock timeouts.
-                entries.append(qualname)
-            elif config.is_kernel_module(fn.module) and config.is_kernel_function(
-                fn.name
-            ):
                 entries.append(qualname)
         for entry in config.flow_entry_points:
             if entry in graph.functions:

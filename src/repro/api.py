@@ -28,14 +28,10 @@ data, safe to stash, compare and serialize. The helpers:
   :class:`~repro.experiments.common.ExperimentDriver` protocol;
 * :func:`replay` — a captured trace through the phase-2 full-system
   platform.
-
-The old per-module entry points (``fig4.run`` and friends) still work
-but emit :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional, Union
@@ -224,7 +220,7 @@ class SimulationBuilder:
 
     def predictor(
         self,
-        name: object = None,
+        name: str,
         config: Optional[ApproximatorConfig] = None,
         **overrides: object,
     ) -> "SimulationBuilder":
@@ -237,37 +233,21 @@ class SimulationBuilder:
         listing what is registered::
 
             Simulation.builder().workload("canneal").predictor("clp").run()
-
-        The pre-registry forms — ``predictor()`` toggling the idealized
-        LVP on, or a positional :class:`ApproximatorConfig` — still work
-        but emit :class:`DeprecationWarning`; call ``predictor("lvp")``
-        instead.
         """
-        if isinstance(name, str):
-            from repro import predictors
-
-            predictors.get_info(name)  # unknown names fail loudly here
-            base = config if config is not None else ApproximatorConfig()
-            expanded = {_SHORT_NAMES.get(k, k): v for k, v in overrides.items()}
-            try:
-                self._config = base.with_overrides(predictor=name, **expanded)
-            except TypeError as exc:
-                raise ConfigurationError(f"predictor(): {exc}") from exc
-            self._mode_name = "predictor"
-            return self
-        if name is not None and not isinstance(name, ApproximatorConfig):
+        if not isinstance(name, str):
             raise ConfigurationError(
                 f"predictor() wants a registry name, got {name!r}"
             )
-        warnings.warn(
-            "SimulationBuilder.predictor() without a registry name is "
-            'deprecated; call predictor("lvp") for the idealized LVP '
-            "baseline",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._mode_name = "lvp"
-        self._config = name if isinstance(name, ApproximatorConfig) else config
+        from repro import predictors
+
+        predictors.get_info(name)  # unknown names fail loudly here
+        base = config if config is not None else ApproximatorConfig()
+        expanded = {_SHORT_NAMES.get(k, k): v for k, v in overrides.items()}
+        try:
+            self._config = base.with_overrides(predictor=name, **expanded)
+        except TypeError as exc:
+            raise ConfigurationError(f"predictor(): {exc}") from exc
+        self._mode_name = "predictor"
         return self
 
     def prefetcher(self, degree: int = 4) -> "SimulationBuilder":
@@ -432,7 +412,7 @@ def run_experiment(
 
     The programmatic mirror of ``python -m repro.experiments NAME``,
     speaking the :class:`~repro.experiments.common.ExperimentDriver`
-    protocol (no deprecation warnings).
+    protocol.
     """
     from repro.experiments.common import averaged
     from repro.experiments.runner import DRIVERS
@@ -443,7 +423,7 @@ def run_experiment(
             f"unknown experiment {name!r}; known: {', '.join(sorted(DRIVERS))}"
         )
     if repeats > 1:
-        return averaged(driver, repeats=repeats, small=small, seed=seed)
+        return averaged(driver.render, repeats=repeats, small=small, seed=seed)
     return driver.render(small=small, seed=seed)
 
 

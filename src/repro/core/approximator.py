@@ -293,33 +293,6 @@ class LoadValueApproximator:
             token=TrainToken(index, tag, shadow, is_float),
         )
 
-    def on_miss_batch(
-        self,
-        pcs: Sequence[int],
-        float_flags: Sequence[bool],
-        addrs: Sequence[int],
-    ) -> List[ApproximationDecision]:
-        """Batch half of the ``MissPredictor`` protocol: scalar loop.
-
-        Registry-driven replay never takes this path for the approximator
-        (the vector kernel replays it through its dedicated flat core),
-        but the contract is honoured so ``lva`` remains a full registry
-        citizen. Addresses are ignored, as in :meth:`on_miss`.
-        """
-        del addrs
-        on_miss = self.on_miss
-        return [on_miss(pcs[i], float_flags[i]) for i in range(len(pcs))]
-
-    def train_batch(
-        self, tokens: Sequence[TrainToken], actuals: Sequence[Number]
-    ) -> int:
-        """Batch training loop; always 0 — LVA coverage is counted at
-        decision time, never at training time."""
-        train = self.train
-        for i in range(len(tokens)):
-            train(tokens[i], actuals[i])
-        return 0
-
     # ------------------------------------------------------------------ #
     # Training                                                           #
     # ------------------------------------------------------------------ #

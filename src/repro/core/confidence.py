@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from typing import Union
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 
 Number = Union[int, float]
@@ -127,56 +125,6 @@ def confidence_update_steps(
     if ratio >= step_max:  # also guards ratio == inf against round()
         return -step_max
     return -min(step_max, max(1, round(ratio)))
-
-
-def confidence_update_steps_array(
-    approx: np.ndarray, actual: np.ndarray, window: float, step_max: int = 1
-) -> np.ndarray:
-    """Vectorized :func:`confidence_update_steps` over float64 arrays.
-
-    Elementwise identical to the scalar function (``np.round`` applies
-    the same banker's rounding as Python's ``round``); NaN operands map
-    to ``-step_max``, an infinite window to ``+step_max`` everywhere.
-    Exposed for the vectorized replay kernels and interval-sampling
-    analyses that batch confidence outcomes per span.
-    """
-    if step_max < 1:
-        raise ConfigurationError(f"step_max must be >= 1, got {step_max}")
-    approx = np.asarray(approx, dtype=np.float64)
-    actual = np.asarray(actual, dtype=np.float64)
-    if math.isinf(window):
-        return np.full(len(approx), step_max, dtype=np.int64)
-    if window == 0:
-        return np.where(approx == actual, step_max, -step_max).astype(np.int64)
-    denom = np.where(actual != 0, window * np.abs(actual), window)
-    error = np.abs(approx - actual)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = error / denom
-        inside = np.maximum(
-            1, np.nan_to_num(np.round(step_max * (1.0 - ratio)), nan=1.0)
-        ).astype(np.int64)
-        outside = -np.minimum(
-            step_max,
-            np.maximum(
-                1, np.where(np.isfinite(ratio), np.round(ratio), step_max)
-            ),
-        ).astype(np.int64)
-    steps = np.where(ratio <= 1.0, inside, outside)  # NaN ratio -> outside
-    # The scalar function tests `ratio <= 1.0` first, so the full-step
-    # decrement only applies strictly outside the window.
-    steps = np.where((ratio > 1.0) & (ratio >= step_max), -step_max, steps)
-    # Degenerate denominator (actual == 0 with a relative window of 0
-    # width): exact match at full step, like the scalar function.
-    degenerate = denom == 0
-    if degenerate.any():
-        steps = np.where(
-            degenerate,
-            np.where(approx == actual, step_max, -step_max),
-            steps,
-        )
-    # NaN operands: maximally wrong.
-    steps = np.where(np.isnan(ratio) & ~degenerate, -step_max, steps)
-    return steps.astype(np.int64)
 
 
 def within_window(approx: Number, actual: Number, window: float) -> bool:

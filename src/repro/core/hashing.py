@@ -13,8 +13,6 @@ from __future__ import annotations
 import struct
 from typing import Iterable, Tuple, Union
 
-import numpy as np
-
 Number = Union[int, float]
 
 _UINT64_MASK = (1 << 64) - 1
@@ -102,50 +100,4 @@ def context_hash(
     index = _fold(context, index_bits) if index_bits > 0 else 0
     tag_source = (context >> index_bits) | (pc << 1)
     tag = _fold(tag_source & _UINT64_MASK, tag_bits)
-    return index, tag
-
-
-# ---------------------------------------------------------------------- #
-# Array forms (the vectorized replay kernels of repro.sim.kernels)        #
-# ---------------------------------------------------------------------- #
-
-
-def fold_array(values: np.ndarray, out_bits: int) -> np.ndarray:
-    """XOR-fold an array of uint64 values down to ``out_bits`` bits.
-
-    The vectorized twin of :func:`_fold`: identical output for every
-    element, one numpy pass per ``out_bits`` window (at most
-    ``ceil(64 / out_bits)`` passes — bounded by the word width, never by
-    the number of events).
-    """
-    mask = np.uint64((1 << out_bits) - 1)
-    shift = np.uint64(out_bits)
-    folded = np.zeros_like(values)
-    remaining = values.copy()
-    while remaining.any():
-        folded ^= remaining & mask
-        remaining = remaining >> shift
-    return folded
-
-
-def context_hash_array(
-    pcs: np.ndarray, index_bits: int, tag_bits: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`context_hash` for the empty-GHB case.
-
-    With no GHB values the context is the PC alone, so the hash is a pure
-    elementwise function and whole columns of PCs hash in a handful of
-    numpy passes. Matches ``context_hash(pc, (), index_bits, tag_bits)``
-    bit-for-bit (uint64 wrap-around reproduces the scalar's explicit
-    64-bit masking).
-
-    Returns ``(index, tag)`` uint64 arrays aligned with ``pcs``.
-    """
-    context = pcs.astype(np.uint64)
-    if index_bits > 0:
-        index = fold_array(context, index_bits)
-    else:
-        index = np.zeros(len(context), dtype=np.uint64)
-    tag_source = (context >> np.uint64(index_bits)) | (context << np.uint64(1))
-    tag = fold_array(tag_source, tag_bits)
     return index, tag

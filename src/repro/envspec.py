@@ -14,8 +14,8 @@ Classifications:
     participates in the cache keys (``keyed_via`` names the key function
     that folds it in). Example: ``REPRO_INJECT`` memory-fault clauses.
 ``neutral``
-    The variable changes *how* results are computed or stored (kernel
-    selection, cache location, verification) but never the result bits.
+    The variable changes *how* results are stored or verified (cache
+    location, LRU bound, checksums) but never the result bits.
     Neutrality is not taken on faith: ``pinned_by`` names the test
     module that pins the equivalence.
 ``capture-only``
@@ -141,26 +141,6 @@ PREDICTOR_ENV = _declare(
     keyed_via="repro.predictors.registry.active_override",
 )
 
-# Replay-kernel selection (repro.sim.kernels).
-REPLAY_KERNEL_ENV = _declare(
-    "REPRO_REPLAY_KERNEL",
-    "neutral",
-    "pin the trace-replay path: object, packed or vector (default vector)",
-    pinned_by="tests/sim/test_kernels.py",
-)
-REPLAY_JIT_ENV = _declare(
-    "REPRO_REPLAY_JIT",
-    "neutral",
-    "numba-compile the replay kernels' L1 oracle (falls back when absent)",
-    pinned_by="tests/sim/test_kernels.py",
-)
-REPLAY_VECTOR_MIN_ENV = _declare(
-    "REPRO_REPLAY_VECTOR_MIN",
-    "neutral",
-    "event count below which auto-selection prefers the packed interpreter (default 512)",
-    pinned_by="tests/sim/test_kernels.py",
-)
-
 # Observability (repro.telemetry).
 TELEMETRY_ENV = _declare(
     "REPRO_TELEMETRY",
@@ -191,14 +171,6 @@ TELEMETRY_HOT_ENV = _declare(
     "capture-only",
     "opt per-load (hot-path) profiler spans in; read once at import",
     pinned_by="tests/telemetry/test_disabled_overhead.py",
-)
-
-# Benchmarks (benchmarks/test_trace_pack.py).
-BENCH_OUT_ENV = _declare(
-    "REPRO_BENCH_OUT",
-    "capture-only",
-    "output path of the replay-benchmark JSON report (default BENCH_replay.json)",
-    pinned_by="benchmarks/test_trace_pack.py",
 )
 
 

@@ -1,7 +1,8 @@
 """Experiment drivers: one module per table/figure of the paper.
 
-Every driver exposes ``run(small=False, seed=0) -> ExperimentResult`` and
-can be executed from the command line via ``python -m repro.experiments``
+Every driver module exposes a ``DRIVER`` whose
+``render(small=False, seed=0)`` returns an ``ExperimentResult``; each can
+be executed from the command line via ``python -m repro.experiments``
 (see :mod:`repro.experiments.runner`). The benchmark harness under
 ``benchmarks/`` wraps these same drivers with pytest-benchmark.
 

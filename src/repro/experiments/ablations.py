@@ -3,15 +3,15 @@
 Beyond the published figures, these sweeps isolate individual design
 decisions of the baseline approximator:
 
-* ``table_size``        — Section VII-A argues even much smaller tables
-  work because so few static loads are annotated (Figure 12);
-* ``lhb_size``          — how much local history the average needs;
-* ``compute_function``  — the paper "tried different LHB functions such as
-  strides and deltas and found average to be most accurate";
-* ``int_confidence``    — the baseline exempts integer data from
+* ``ablate-table-size``       — Section VII-A argues even much smaller
+  tables work because so few static loads are annotated (Figure 12);
+* ``ablate-lhb-size``         — how much local history the average needs;
+* ``ablate-compute-fn``       — the paper "tried different LHB functions
+  such as strides and deltas and found average to be most accurate";
+* ``ablate-int-confidence``   — the baseline exempts integer data from
   confidence (Section VI-B); this quantifies that choice;
-* ``confidence_steps``  — the variable-step confidence updates Section
-  III-B defers to future work, implemented in
+* ``ablate-confidence-steps`` — the variable-step confidence updates
+  Section III-B defers to future work, implemented in
   :func:`repro.core.confidence.confidence_update_steps`.
 """
 
@@ -23,6 +23,7 @@ from repro.core.config import ApproximatorConfig
 from repro.core.functions import COMPUTE_FUNCTIONS
 from repro.experiments.common import (
     BASELINE_WORKLOADS,
+    Driver,
     ExperimentResult,
     run_technique,
 )
@@ -36,8 +37,8 @@ CONFIDENCE_STEPS: Tuple[int, ...] = (1, 2, 4)
 INT_WORKLOADS: Tuple[str, ...] = ("bodytrack", "canneal", "x264")
 
 
-def table_size_points(small: bool = False, seed: int = 0):
-    """Sweep points for :func:`table_size`."""
+def _table_size_points(small: bool = False, seed: int = 0):
+    """Sweep points for :func:`_table_size`."""
     return [
         technique_point(
             name,
@@ -51,7 +52,7 @@ def table_size_points(small: bool = False, seed: int = 0):
     ]
 
 
-def table_size(small: bool = False, seed: int = 0) -> ExperimentResult:
+def _table_size(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Sweep the approximator table size (Section VII-A)."""
     result = ExperimentResult(
         name="Ablation: table size",
@@ -66,8 +67,8 @@ def table_size(small: bool = False, seed: int = 0) -> ExperimentResult:
     return result
 
 
-def lhb_size_points(small: bool = False, seed: int = 0):
-    """Sweep points for :func:`lhb_size`."""
+def _lhb_size_points(small: bool = False, seed: int = 0):
+    """Sweep points for :func:`_lhb_size`."""
     return [
         technique_point(
             name, Mode.LVA, ApproximatorConfig(lhb_size=size), seed=seed, small=small
@@ -77,7 +78,7 @@ def lhb_size_points(small: bool = False, seed: int = 0):
     ]
 
 
-def lhb_size(small: bool = False, seed: int = 0) -> ExperimentResult:
+def _lhb_size(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Sweep the local-history depth feeding the AVERAGE function."""
     result = ExperimentResult(
         name="Ablation: LHB size",
@@ -92,8 +93,8 @@ def lhb_size(small: bool = False, seed: int = 0) -> ExperimentResult:
     return result
 
 
-def compute_function_points(small: bool = False, seed: int = 0):
-    """Sweep points for :func:`compute_function`."""
+def _compute_function_points(small: bool = False, seed: int = 0):
+    """Sweep points for :func:`_compute_function`."""
     return [
         technique_point(
             name, Mode.LVA, ApproximatorConfig(compute_fn=fn), seed=seed, small=small
@@ -103,7 +104,7 @@ def compute_function_points(small: bool = False, seed: int = 0):
     ]
 
 
-def compute_function(small: bool = False, seed: int = 0) -> ExperimentResult:
+def _compute_function(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Compare the LHB computation functions f (Section III-A)."""
     result = ExperimentResult(
         name="Ablation: computation function",
@@ -119,8 +120,8 @@ def compute_function(small: bool = False, seed: int = 0) -> ExperimentResult:
     return result
 
 
-def int_confidence_points(small: bool = False, seed: int = 0):
-    """Sweep points for :func:`int_confidence`."""
+def _int_confidence_points(small: bool = False, seed: int = 0):
+    """Sweep points for :func:`_int_confidence`."""
     return [
         technique_point(
             name,
@@ -134,7 +135,7 @@ def int_confidence_points(small: bool = False, seed: int = 0):
     ]
 
 
-def int_confidence(small: bool = False, seed: int = 0) -> ExperimentResult:
+def _int_confidence(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Quantify the baseline's integer-confidence exemption (Section VI-B)."""
     result = ExperimentResult(
         name="Ablation: integer confidence",
@@ -163,8 +164,8 @@ def int_confidence(small: bool = False, seed: int = 0) -> ExperimentResult:
     return result
 
 
-def confidence_steps_points(small: bool = False, seed: int = 0):
-    """Sweep points for :func:`confidence_steps`."""
+def _confidence_steps_points(small: bool = False, seed: int = 0):
+    """Sweep points for :func:`_confidence_steps`."""
     return [
         technique_point(
             name,
@@ -182,7 +183,7 @@ def confidence_steps_points(small: bool = False, seed: int = 0):
     ]
 
 
-def confidence_steps(small: bool = False, seed: int = 0) -> ExperimentResult:
+def _confidence_steps(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Variable-step confidence updates (the paper's deferred optimisation).
 
     Confidence gating is enabled for both datatypes so the step size can
@@ -204,23 +205,12 @@ def confidence_steps(small: bool = False, seed: int = 0) -> ExperimentResult:
             result.add(f"error-step-{step}", name, lva.output_error)
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
 
 #: One :class:`~repro.experiments.common.ExperimentDriver` per ablation.
 DRIVERS = {
-    "ablate-table-size": Driver(name="ablate-table-size", render_fn=table_size, points_fn=table_size_points),
-    "ablate-lhb-size": Driver(name="ablate-lhb-size", render_fn=lhb_size, points_fn=lhb_size_points),
-    "ablate-compute-fn": Driver(name="ablate-compute-fn", render_fn=compute_function, points_fn=compute_function_points),
-    "ablate-int-confidence": Driver(name="ablate-int-confidence", render_fn=int_confidence, points_fn=int_confidence_points),
-    "ablate-confidence-steps": Driver(name="ablate-confidence-steps", render_fn=confidence_steps, points_fn=confidence_steps_points),
+    "ablate-table-size": Driver(name="ablate-table-size", render_fn=_table_size, points_fn=_table_size_points),
+    "ablate-lhb-size": Driver(name="ablate-lhb-size", render_fn=_lhb_size, points_fn=_lhb_size_points),
+    "ablate-compute-fn": Driver(name="ablate-compute-fn", render_fn=_compute_function, points_fn=_compute_function_points),
+    "ablate-int-confidence": Driver(name="ablate-int-confidence", render_fn=_int_confidence, points_fn=_int_confidence_points),
+    "ablate-confidence-steps": Driver(name="ablate-confidence-steps", render_fn=_confidence_steps, points_fn=_confidence_steps_points),
 }
-table_size = deprecated_entry(DRIVERS["ablate-table-size"], "render", "repro.experiments.ablations.table_size")
-table_size_points = deprecated_entry(DRIVERS["ablate-table-size"], "points", "repro.experiments.ablations.table_size_points")
-lhb_size = deprecated_entry(DRIVERS["ablate-lhb-size"], "render", "repro.experiments.ablations.lhb_size")
-lhb_size_points = deprecated_entry(DRIVERS["ablate-lhb-size"], "points", "repro.experiments.ablations.lhb_size_points")
-compute_function = deprecated_entry(DRIVERS["ablate-compute-fn"], "render", "repro.experiments.ablations.compute_function")
-compute_function_points = deprecated_entry(DRIVERS["ablate-compute-fn"], "points", "repro.experiments.ablations.compute_function_points")
-int_confidence = deprecated_entry(DRIVERS["ablate-int-confidence"], "render", "repro.experiments.ablations.int_confidence")
-int_confidence_points = deprecated_entry(DRIVERS["ablate-int-confidence"], "points", "repro.experiments.ablations.int_confidence_points")
-confidence_steps = deprecated_entry(DRIVERS["ablate-confidence-steps"], "render", "repro.experiments.ablations.confidence_steps")
-confidence_steps_points = deprecated_entry(DRIVERS["ablate-confidence-steps"], "points", "repro.experiments.ablations.confidence_steps_points")

@@ -16,11 +16,9 @@ sweep point needs the same baseline.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
@@ -91,8 +89,12 @@ class ExperimentResult:
         return sum(values) / len(values)
 
     @staticmethod
-    def _cell(value: float) -> str:
-        """One table cell; NaN renders as an explicit FAILED marker."""
+    def _cell(value: Optional[float]) -> str:
+        """One table cell: a row the series has no value for renders as
+        ``—`` (as in :func:`repro.experiments.report.to_markdown`); NaN
+        renders as an explicit FAILED marker."""
+        if value is None:
+            return f"{'—':>12}"
         if math.isnan(value):
             return f"{'FAILED':>12}"
         return f"{value:>12.4f}"
@@ -109,9 +111,7 @@ class ExperimentResult:
         header = f"{'benchmark':<{width}} " + " ".join(f"{l:>12}" for l in labels)
         lines = [f"== {self.name}: {self.description} ==", header]
         for workload in workloads:
-            cells = " ".join(
-                self._cell(self.series[l].get(workload, float("nan"))) for l in labels
-            )
+            cells = " ".join(self._cell(self.series[l].get(workload)) for l in labels)
             lines.append(f"{workload:<{width}} {cells}")
         averages = " ".join(self._cell(self.average(l)) for l in labels)
         lines.append(f"{'average':<{width}} {averages}")
@@ -147,7 +147,8 @@ def averaged(
 
     The paper averages all measurements over 5 simulation runs
     (Section V-A); this wrapper applies the same protocol to any
-    experiment driver, using seeds ``seed, seed+1, ...``.
+    ``(small, seed) -> ExperimentResult`` callable such as
+    ``DRIVER.render``, using seeds ``seed, seed+1, ...``.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -168,10 +169,9 @@ def averaged(
 class ExperimentDriver(Protocol):
     """The one experiment-driver contract.
 
-    Every figure/table module used to expose a duck-typed mix of
-    module-level ``run``/``points`` functions; the runner, the sweep
-    engine and programmatic callers now all speak to this protocol
-    instead:
+    Every figure/table module exposes one ``DRIVER`` (the ablations
+    module a ``DRIVERS`` mapping); the runner, the sweep engine and
+    programmatic callers all speak to this protocol:
 
     * :meth:`points` — declare the sweep points this experiment needs
       (empty for experiments that cannot be decomposed, e.g. the
@@ -179,9 +179,6 @@ class ExperimentDriver(Protocol):
     * :meth:`run_point` — compute one declared point, warming the
       result caches;
     * :meth:`render` — assemble the figure/table, reading those caches.
-
-    The module-level ``run``/``points`` names still exist as
-    deprecation shims (see :func:`deprecated_entry`).
     """
 
     name: str
@@ -217,36 +214,6 @@ class Driver:
     def render(self, small: bool = False, seed: int = 0) -> ExperimentResult:
         """Assemble the figure/table (cheap once the caches are warm)."""
         return self.render_fn(small=small, seed=seed)
-
-    def __call__(self, small: bool = False, seed: int = 0) -> ExperimentResult:
-        # Drivers stay callable so seed-averaging helpers and existing
-        # ``EXPERIMENTS[name](...)`` call sites keep working.
-        return self.render(small=small, seed=seed)
-
-
-def deprecated_entry(
-    driver: ExperimentDriver, method: str, old_name: str
-) -> Callable[..., object]:
-    """A module-level shim for a pre-protocol entry point.
-
-    Calls ``getattr(driver, method)`` after emitting a
-    :class:`DeprecationWarning` naming the replacement. Keeps the old
-    ``module.run(...)`` / ``module.points(...)`` call forms working for
-    one deprecation cycle.
-    """
-    target = getattr(driver, method)
-
-    @functools.wraps(target)
-    def shim(*args: object, **kwargs: object) -> object:
-        warnings.warn(
-            f"{old_name}() is deprecated; use the ExperimentDriver protocol "
-            f"({driver.name} DRIVER.{method}()) or repro.api.run_experiment()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return target(*args, **kwargs)
-
-    return shim
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -675,12 +642,9 @@ def run_fullsystem(
     started = time.perf_counter()  # lva: ignore[LVA008]
     result = FullSystemSimulator(config).run(trace)
     if telemetry.enabled():
-        from repro.sim import kernels
-
         elapsed = time.perf_counter() - started  # lva: ignore[LVA008]
         registry = telemetry.metrics()
         registry.counter("trace.replay.count").add(1)
-        registry.counter(f"trace.replay.path.{kernels.select_fullsystem_path()}").add(1)
         if elapsed > 0:
             registry.gauge("trace.replay.events_per_s").set(len(trace) / elapsed)
     return result

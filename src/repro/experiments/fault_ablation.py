@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro import faults
-from repro.experiments.common import ExperimentResult, run_technique
+from repro.experiments.common import Driver, ExperimentResult, run_technique
 from repro.experiments.sweep import SweepPoint, technique_point
 from repro.sim.tracesim import Mode
 
@@ -40,8 +40,8 @@ FAULT_LEVELS: Tuple[Tuple[str, str], ...] = (
 WORKLOADS: Tuple[str, ...] = ("blackscholes", "canneal", "fluidanimate")
 
 
-def points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
-    """The sweep points :func:`run` consumes (for the parallel engine)."""
+def _points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
+    """The sweep points :func:`_render` consumes (for the parallel engine)."""
     return [
         technique_point(name, Mode.LVA, seed=seed, small=small, faults=spec)
         for name in WORKLOADS
@@ -49,7 +49,7 @@ def points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
     ]
 
 
-def run(small: bool = False, seed: int = 0) -> ExperimentResult:
+def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Sweep injected memory-fault rates for LVA."""
     result = ExperimentResult(
         name="Ablation: memory faults",
@@ -70,10 +70,7 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
             result.add(f"drops@{tag}", name, lva.raw.get("fetches_dropped", 0))
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="ablate-memory-faults", render_fn=run, points_fn=points)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.fault_ablation.run")
-points = deprecated_entry(DRIVER, "points", "repro.experiments.fault_ablation.points")
+DRIVER = Driver(name="ablate-memory-faults", render_fn=_render, points_fn=_points)

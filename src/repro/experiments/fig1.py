@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import List, Tuple
 
-from repro.experiments.common import ExperimentResult, run_precise_reference
+from repro.experiments.common import Driver, ExperimentResult, run_precise_reference
 from repro.experiments.sweep import precise_point
 from repro.sim.tracesim import Mode, TraceSimulator
 from repro.workloads.registry import get_workload
@@ -22,8 +22,8 @@ from repro.workloads.registry import get_workload
 WORKLOAD = "bodytrack"
 
 
-def points(small: bool = False, seed: int = 0):
-    """The sweep points :func:`run` consumes (for the parallel engine).
+def _points(small: bool = False, seed: int = 0):
+    """The sweep points :func:`_render` consumes (for the parallel engine).
 
     Only the precise reference is cacheable; the LVA track comparison
     runs inline because it inspects the raw output, not a TechniqueResult.
@@ -31,7 +31,7 @@ def points(small: bool = False, seed: int = 0):
     return [precise_point(WORKLOAD, seed=seed, small=small)]
 
 
-def run(small: bool = False, seed: int = 0) -> ExperimentResult:
+def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Run bodytrack precisely and under baseline LVA; compare the tracks."""
     reference = run_precise_reference(WORKLOAD, seed=seed, small=small)
     workload = get_workload(WORKLOAD, small=small)
@@ -61,7 +61,7 @@ def render_frames(
 ) -> Tuple[str, str]:
     """Write the two tracked frames as PGM images; returns their paths.
 
-    Separated from :func:`run` so the experiment stays artefact-free by
+    Separated from :func:`_render` so the experiment stays artefact-free by
     default; the example script wires the two together.
     """
     import numpy as np
@@ -95,10 +95,7 @@ def render_frames(
     write_pgm(approx_path, render(approx))
     return precise_path, approx_path
 
-from repro.experiments.common import Driver, deprecated_entry
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="fig1", render_fn=run, points_fn=points)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.fig1.run")
-points = deprecated_entry(DRIVER, "points", "repro.experiments.fig1.points")
+DRIVER = Driver(name="fig1", render_fn=_render, points_fn=_points)

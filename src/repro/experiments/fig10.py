@@ -14,6 +14,7 @@ from typing import List, Tuple
 from repro.core.config import ApproximatorConfig
 from repro.experiments.common import (
     BASELINE_WORKLOADS,
+    Driver,
     ExperimentResult,
     run_fullsystem_point,
 )
@@ -26,8 +27,8 @@ def _config(degree: int) -> ApproximatorConfig:
     return ApproximatorConfig(approximation_degree=degree)
 
 
-def points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
-    """The sweep points :func:`run` consumes (for the parallel engine).
+def _points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
+    """The sweep points :func:`_render` consumes (for the parallel engine).
 
     One precise-baseline replay plus one LVA replay per degree, per
     workload. The engine pre-captures each workload's trace once into
@@ -42,7 +43,7 @@ def points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
     return pts
 
 
-def run(small: bool = False, seed: int = 0) -> ExperimentResult:
+def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Replay each workload full-system, sweeping approximation degree."""
     result = ExperimentResult(
         name="Figure 10",
@@ -69,10 +70,7 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
         result.add("baseline-miss-latency", name, baseline.average_miss_latency)
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="fig10", render_fn=run, points_fn=points)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.fig10.run")
-points = deprecated_entry(DRIVER, "points", "repro.experiments.fig10.points")
+DRIVER = Driver(name="fig10", render_fn=_render, points_fn=_points)

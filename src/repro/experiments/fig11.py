@@ -14,6 +14,7 @@ from typing import List, Tuple
 from repro.core.config import ApproximatorConfig
 from repro.experiments.common import (
     BASELINE_WORKLOADS,
+    Driver,
     ExperimentResult,
     run_fullsystem_point,
 )
@@ -26,8 +27,8 @@ def _config(degree: int) -> ApproximatorConfig:
     return ApproximatorConfig(approximation_degree=degree)
 
 
-def points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
-    """The sweep points :func:`run` consumes (for the parallel engine)."""
+def _points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
+    """The sweep points :func:`_render` consumes (for the parallel engine)."""
     pts: List[SweepPoint] = []
     for name in BASELINE_WORKLOADS:
         pts.append(fullsystem_point(name, seed=seed, small=small))
@@ -36,7 +37,7 @@ def points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
     return pts
 
 
-def run(small: bool = False, seed: int = 0) -> ExperimentResult:
+def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Replay each workload full-system, measuring normalized L1-miss EDP."""
     result = ExperimentResult(
         name="Figure 11",
@@ -58,10 +59,7 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
             result.add(f"approx-{degree}", name, normalized)
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="fig11", render_fn=run, points_fn=points)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.fig11.run")
-points = deprecated_entry(DRIVER, "points", "repro.experiments.fig11.points")
+DRIVER = Driver(name="fig11", render_fn=_render, points_fn=_points)

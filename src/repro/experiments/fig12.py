@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     BASELINE_WORKLOADS,
+    Driver,
     ExperimentResult,
     run_technique,
 )
@@ -17,15 +18,15 @@ from repro.experiments.sweep import technique_point
 from repro.sim.tracesim import Mode
 
 
-def points(small: bool = False, seed: int = 0):
-    """The sweep points :func:`run` consumes (for the parallel engine)."""
+def _points(small: bool = False, seed: int = 0):
+    """The sweep points :func:`_render` consumes (for the parallel engine)."""
     return [
         technique_point(name, Mode.LVA, seed=seed, small=small)
         for name in BASELINE_WORKLOADS
     ]
 
 
-def run(small: bool = False, seed: int = 0) -> ExperimentResult:
+def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Count distinct approximate-load PCs per benchmark."""
     result = ExperimentResult(
         name="Figure 12",
@@ -37,10 +38,7 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
         result.add("static_approx_pcs", name, float(lva.static_approx_pcs))
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="fig12", render_fn=run, points_fn=points)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.fig12.run")
-points = deprecated_entry(DRIVER, "points", "repro.experiments.fig12.points")
+DRIVER = Driver(name="fig12", render_fn=_render, points_fn=_points)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.core.config import ApproximatorConfig
-from repro.experiments.common import ExperimentResult, run_technique
+from repro.experiments.common import Driver, ExperimentResult, run_technique
 from repro.experiments.sweep import technique_point
 from repro.sim.tracesim import Mode
 
@@ -29,15 +29,15 @@ def _config(bits: int) -> ApproximatorConfig:
     )
 
 
-def points(small: bool = False, seed: int = 0):
-    """The sweep points :func:`run` consumes (for the parallel engine)."""
+def _points(small: bool = False, seed: int = 0):
+    """The sweep points :func:`_render` consumes (for the parallel engine)."""
     return [
         technique_point(WORKLOAD, Mode.LVA, _config(bits), seed=seed, small=small)
         for bits in PRECISION_LOSS_BITS
     ]
 
 
-def run(small: bool = False, seed: int = 0) -> ExperimentResult:
+def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Sweep mantissa truncation for fluidanimate at GHB size 2."""
     result = ExperimentResult(
         name="Figure 13",
@@ -56,10 +56,7 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
         result.add("output_error", f"drop-{bits}", lva.output_error)
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="fig13", render_fn=run, points_fn=points)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.fig13.run")
-points = deprecated_entry(DRIVER, "points", "repro.experiments.fig13.points")
+DRIVER = Driver(name="fig13", render_fn=_render, points_fn=_points)

@@ -15,6 +15,7 @@ from typing import List, Tuple
 from repro.core.config import ApproximatorConfig
 from repro.experiments.common import (
     BASELINE_WORKLOADS,
+    Driver,
     ExperimentResult,
     run_technique,
 )
@@ -24,8 +25,8 @@ from repro.sim.tracesim import Mode
 GHB_SIZES: Tuple[int, ...] = (0, 1, 2, 4)
 
 
-def points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
-    """The sweep points :func:`run` consumes (for the parallel engine)."""
+def _points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
+    """The sweep points :func:`_render` consumes (for the parallel engine)."""
     out: List[SweepPoint] = []
     for name in BASELINE_WORKLOADS:
         for ghb in GHB_SIZES:
@@ -35,7 +36,7 @@ def points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
     return out
 
 
-def run(small: bool = False, seed: int = 0) -> ExperimentResult:
+def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Sweep GHB sizes for LVA and idealized LVP."""
     result = ExperimentResult(
         name="Figure 4",
@@ -57,10 +58,7 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
             result.add(f"LVA-GHB-{ghb}", name, lva.normalized_mpki)
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="fig4", render_fn=run, points_fn=points)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.fig4.run")
-points = deprecated_entry(DRIVER, "points", "repro.experiments.fig4.points")
+DRIVER = Driver(name="fig4", render_fn=_render, points_fn=_points)

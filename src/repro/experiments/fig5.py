@@ -13,6 +13,7 @@ from typing import List
 from repro.core.config import ApproximatorConfig
 from repro.experiments.common import (
     BASELINE_WORKLOADS,
+    Driver,
     ExperimentResult,
     run_technique,
 )
@@ -21,7 +22,7 @@ from repro.experiments.sweep import SweepPoint, technique_point
 from repro.sim.tracesim import Mode
 
 
-def points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
+def _points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
     """Every point here also appears in Figure 4 — the engine dedupes."""
     return [
         technique_point(
@@ -32,7 +33,7 @@ def points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
     ]
 
 
-def run(small: bool = False, seed: int = 0) -> ExperimentResult:
+def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Sweep GHB sizes, measuring application output error under LVA."""
     result = ExperimentResult(
         name="Figure 5",
@@ -48,10 +49,7 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
             result.add(f"GHB-{ghb}", name, lva.output_error)
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="fig5", render_fn=run, points_fn=points)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.fig5.run")
-points = deprecated_entry(DRIVER, "points", "repro.experiments.fig5.points")
+DRIVER = Driver(name="fig5", render_fn=_render, points_fn=_points)

@@ -15,6 +15,7 @@ from typing import Tuple
 from repro.core.config import INFINITE_WINDOW, ApproximatorConfig
 from repro.experiments.common import (
     BASELINE_WORKLOADS,
+    Driver,
     ExperimentResult,
     run_technique,
 )
@@ -42,8 +43,8 @@ def _config(window: float) -> ApproximatorConfig:
     )
 
 
-def points(small: bool = False, seed: int = 0):
-    """The sweep points :func:`run` consumes (for the parallel engine)."""
+def _points(small: bool = False, seed: int = 0):
+    """The sweep points :func:`_render` consumes (for the parallel engine)."""
     return [
         technique_point(name, Mode.LVA, _config(window), seed=seed, small=small)
         for name in BASELINE_WORKLOADS
@@ -51,7 +52,7 @@ def points(small: bool = False, seed: int = 0):
     ]
 
 
-def run(small: bool = False, seed: int = 0) -> ExperimentResult:
+def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Sweep relaxed confidence windows, recording MPKI and error."""
     result = ExperimentResult(
         name="Figure 6",
@@ -67,10 +68,7 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
             result.add(f"error-{label}", name, lva.output_error)
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="fig6", render_fn=run, points_fn=points)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.fig6.run")
-points = deprecated_entry(DRIVER, "points", "repro.experiments.fig6.points")
+DRIVER = Driver(name="fig6", render_fn=_render, points_fn=_points)

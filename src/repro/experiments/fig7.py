@@ -14,6 +14,7 @@ from typing import Tuple
 from repro.core.config import ApproximatorConfig
 from repro.experiments.common import (
     BASELINE_WORKLOADS,
+    Driver,
     ExperimentResult,
     run_technique,
 )
@@ -23,8 +24,8 @@ from repro.sim.tracesim import Mode
 DELAYS: Tuple[int, ...] = (4, 8, 16, 32)
 
 
-def points(small: bool = False, seed: int = 0):
-    """The sweep points :func:`run` consumes (for the parallel engine)."""
+def _points(small: bool = False, seed: int = 0):
+    """The sweep points :func:`_render` consumes (for the parallel engine)."""
     return [
         technique_point(
             name, Mode.LVA, ApproximatorConfig(value_delay=delay), seed=seed, small=small
@@ -34,7 +35,7 @@ def points(small: bool = False, seed: int = 0):
     ]
 
 
-def run(small: bool = False, seed: int = 0) -> ExperimentResult:
+def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Sweep the value delay, recording MPKI and error."""
     result = ExperimentResult(
         name="Figure 7",
@@ -53,10 +54,7 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
             result.add(f"error-delay-{delay}", name, lva.output_error)
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="fig7", render_fn=run, points_fn=points)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.fig7.run")
-points = deprecated_entry(DRIVER, "points", "repro.experiments.fig7.points")
+DRIVER = Driver(name="fig7", render_fn=_render, points_fn=_points)

@@ -14,6 +14,7 @@ from typing import Tuple
 from repro.core.config import ApproximatorConfig
 from repro.experiments.common import (
     BASELINE_WORKLOADS,
+    Driver,
     ExperimentResult,
     run_technique,
 )
@@ -23,8 +24,8 @@ from repro.sim.tracesim import Mode
 DEGREES: Tuple[int, ...] = (2, 4, 8, 16)
 
 
-def points(small: bool = False, seed: int = 0):
-    """The sweep points :func:`run` consumes (for the parallel engine)."""
+def _points(small: bool = False, seed: int = 0):
+    """The sweep points :func:`_render` consumes (for the parallel engine)."""
     out = []
     for name in BASELINE_WORKLOADS:
         for degree in DEGREES:
@@ -45,7 +46,7 @@ def points(small: bool = False, seed: int = 0):
     return out
 
 
-def run(small: bool = False, seed: int = 0) -> ExperimentResult:
+def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Sweep prefetch degree and approximation degree."""
     result = ExperimentResult(
         name="Figure 8",
@@ -75,10 +76,7 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
             result.add(f"approx-{degree}-fetches", name, lva.normalized_fetches)
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="fig8", render_fn=run, points_fn=points)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.fig8.run")
-points = deprecated_entry(DRIVER, "points", "repro.experiments.fig8.points")
+DRIVER = Driver(name="fig8", render_fn=_render, points_fn=_points)

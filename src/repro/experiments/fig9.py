@@ -12,6 +12,7 @@ from typing import Tuple
 from repro.core.config import ApproximatorConfig
 from repro.experiments.common import (
     BASELINE_WORKLOADS,
+    Driver,
     ExperimentResult,
     run_technique,
 )
@@ -21,8 +22,8 @@ from repro.sim.tracesim import Mode
 DEGREES: Tuple[int, ...] = (0, 2, 4, 8, 16)
 
 
-def points(small: bool = False, seed: int = 0):
-    """The sweep points :func:`run` consumes (for the parallel engine)."""
+def _points(small: bool = False, seed: int = 0):
+    """The sweep points :func:`_render` consumes (for the parallel engine)."""
     return [
         technique_point(
             name,
@@ -36,7 +37,7 @@ def points(small: bool = False, seed: int = 0):
     ]
 
 
-def run(small: bool = False, seed: int = 0) -> ExperimentResult:
+def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Sweep the approximation degree, measuring output error."""
     result = ExperimentResult(
         name="Figure 9",
@@ -52,10 +53,7 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
             result.add(f"approx-{degree}", name, lva.output_error)
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="fig9", render_fn=run, points_fn=points)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.fig9.run")
-points = deprecated_entry(DRIVER, "points", "repro.experiments.fig9.points")
+DRIVER = Driver(name="fig9", render_fn=_render, points_fn=_points)

@@ -26,7 +26,6 @@ from repro.experiments.common import (
     BASELINE_WORKLOADS,
     Driver,
     ExperimentResult,
-    deprecated_entry,
     run_technique,
 )
 from repro.experiments.sweep import SweepPoint, technique_point
@@ -42,8 +41,8 @@ def _config(predictor: str) -> ApproximatorConfig:
     return ApproximatorConfig(predictor=predictor)
 
 
-def points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
-    """The sweep points :func:`run` consumes (for the parallel engine)."""
+def _points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
+    """The sweep points :func:`_render` consumes (for the parallel engine)."""
     out: List[SweepPoint] = []
     for name in BASELINE_WORKLOADS:
         for predictor in PREDICTORS:
@@ -55,7 +54,7 @@ def points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
     return out
 
 
-def run(small: bool = False, seed: int = 0) -> ExperimentResult:
+def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Sweep every registered predictor over every benchmark."""
     result = ExperimentResult(
         name="Predictor zoo",
@@ -83,6 +82,4 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="fig_predictors", render_fn=run, points_fn=points)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.fig_predictors.run")
-points = deprecated_entry(DRIVER, "points", "repro.experiments.fig_predictors.points")
+DRIVER = Driver(name="fig_predictors", render_fn=_render, points_fn=_points)

@@ -34,7 +34,6 @@ import argparse
 import json
 import pickle
 import shutil
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional

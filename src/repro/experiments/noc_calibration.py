@@ -14,7 +14,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import Driver, ExperimentResult
 from repro.noc.detailed import DetailedMeshNetwork, DetailedNocConfig
 from repro.noc.network import MeshNetwork, NocConfig
 
@@ -51,7 +51,7 @@ def _detailed_latency(packets, config: DetailedNocConfig) -> float:
     return stats.average_latency
 
 
-def run(small: bool = False, seed: int = 0) -> ExperimentResult:
+def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Sweep offered load; report both models' average latencies."""
     rng = np.random.default_rng(seed)
     rates = INJECTION_RATES[:3] if small else INJECTION_RATES
@@ -75,9 +75,7 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
         result.add("detailed_latency", label, _detailed_latency(packets, detailed_config))
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="ablate-noc-model", render_fn=run)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.noc_calibration.run")
+DRIVER = Driver(name="ablate-noc-model", render_fn=_render)

@@ -13,7 +13,7 @@ Usage::
     python -m repro.experiments fig13 --inject "crash:mantissa_drop_bits=11"
 
 With ``--jobs N`` the runner first collects every sweep point the
-requested experiments declare (via their ``points()`` functions), dedupes
+requested experiments declare (via their drivers' ``points()``), dedupes
 them across experiments, and executes them on the
 :class:`~repro.experiments.sweep.SweepEngine` — precise baselines exactly
 once, then the technique points, all at point granularity.  The drivers
@@ -65,9 +65,7 @@ from repro.experiments.report import render_report, to_json
 from repro.experiments.sweep import SweepEngine, SweepPoint
 
 #: Every experiment, keyed by CLI name, as an
-#: :class:`~repro.experiments.common.ExperimentDriver`. ``Driver`` objects
-#: are callable (``DRIVERS[name](small=..., seed=...)`` renders), so this
-#: mapping also serves the seed-averaging helper unchanged.
+#: :class:`~repro.experiments.common.ExperimentDriver`.
 DRIVERS: Dict[str, Driver] = {
     "table1": table1.DRIVER,
     "fig1": fig1.DRIVER,
@@ -88,9 +86,6 @@ DRIVERS: Dict[str, Driver] = {
     "ablate-sensitivity": sensitivity.DRIVER,
     "ablate-memory-faults": fault_ablation.DRIVER,
 }
-
-#: Backwards-compatible views of :data:`DRIVERS` (drivers are callable).
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = dict(DRIVERS)
 
 #: Experiments decomposable into sweep points.  The rest (trace replay,
 #: full-system, NoC calibration) run whole because their cost is not in
@@ -156,7 +151,7 @@ def _run_one(
 
     def compute() -> ExperimentResult:
         if repeats > 1:
-            return averaged(DRIVERS[name], repeats=repeats, small=small, seed=seed)
+            return averaged(DRIVERS[name].render, repeats=repeats, small=small, seed=seed)
         return DRIVERS[name].render(small=small, seed=seed)
 
     profile_text: Optional[str] = None
@@ -226,7 +221,7 @@ def main(argv=None) -> int:
         "experiments",
         nargs="*",
         default=[],
-        help=f"which to run (default: all). Known: {', '.join(EXPERIMENTS)}",
+        help=f"which to run (default: all). Known: {', '.join(DRIVERS)}",
     )
     parser.add_argument(
         "--small", action="store_true", help="reduced inputs for a quick check"
@@ -315,7 +310,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.list:
-        for name in EXPERIMENTS:
+        for name in DRIVERS:
             print(name)
         return 0
 
@@ -329,8 +324,8 @@ def main(argv=None) -> int:
         except ConfigurationError as exc:
             parser.error(f"--inject: {exc}")
 
-    names = args.experiments or list(EXPERIMENTS)
-    unknown = [n for n in names if n not in EXPERIMENTS]
+    names = args.experiments or list(DRIVERS)
+    unknown = [n for n in names if n not in DRIVERS]
     if unknown:
         parser.error(f"unknown experiments: {', '.join(unknown)}")
 

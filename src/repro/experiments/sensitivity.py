@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.core.config import ApproximatorConfig
-from repro.experiments.common import ExperimentResult, run_technique
+from repro.experiments.common import Driver, ExperimentResult, run_technique
 from repro.experiments.sweep import technique_point
 from repro.sim.tracesim import Mode
 
@@ -34,8 +34,8 @@ def _workloads(small: bool) -> List[str]:
     return ["blackscholes", "canneal", "fluidanimate", "x264"]
 
 
-def points(small: bool = False, seed: int = 0):
-    """The sweep points :func:`run` consumes (for the parallel engine)."""
+def _points(small: bool = False, seed: int = 0):
+    """The sweep points :func:`_render` consumes (for the parallel engine)."""
     out = []
     configs = [ApproximatorConfig()]
     for _, low, high in PERTURBATIONS:
@@ -61,7 +61,7 @@ def _mean_metrics(
     return mpki_total / count, error_total / count
 
 
-def run(small: bool = False, seed: int = 0) -> ExperimentResult:
+def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     """One-at-a-time perturbation around the baseline configuration."""
     # A representative subset keeps the tornado affordable at full scale
     # while spanning int/float and high/low-MPKI behaviours.
@@ -90,10 +90,7 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
             result.add("error_delta", label, error - base_error)
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="ablate-sensitivity", render_fn=run, points_fn=points)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.sensitivity.run")
-points = deprecated_entry(DRIVER, "points", "repro.experiments.sensitivity.points")
+DRIVER = Driver(name="ablate-sensitivity", render_fn=_render, points_fn=_points)

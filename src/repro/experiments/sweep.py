@@ -9,8 +9,8 @@ baseline, and separate processes share no cache.
 
 This engine flips the unit of parallelism from experiments to points:
 
-1. Drivers declare their points (each driver module exposes
-   ``points(small, seed)`` alongside ``run``).
+1. Drivers declare their points (``DRIVER.points(small, seed)``
+   alongside ``DRIVER.render``).
 2. The engine **dedupes** points across every requested experiment.
 3. The unique *precise baselines* implied by the points run first, fanned
    out over a :class:`~concurrent.futures.ProcessPoolExecutor` — each is
@@ -569,7 +569,7 @@ class SweepEngine:
 
     One engine instance is built per CLI invocation; :meth:`execute`
     leaves ``common._PRECISE_CACHE`` / ``common._TECHNIQUE_CACHE`` warm in
-    the calling process, so driver ``run()`` functions afterwards cost
+    the calling process, so ``DRIVER.render()`` calls afterwards cost
     only table assembly. ``retries``/``point_timeout``/``resume``
     configure the supervision layer (see the module docstring).
     """

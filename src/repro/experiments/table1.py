@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.experiments.common import (
     BASELINE_WORKLOADS,
+    Driver,
     ExperimentResult,
     run_precise_reference,
     run_technique,
@@ -38,10 +39,10 @@ PAPER_VARIATION = {
 }
 
 
-def points(small: bool = False, seed: int = 0):
-    """The sweep points :func:`run` consumes (for the parallel engine).
+def _points(small: bool = False, seed: int = 0):
+    """The sweep points :func:`_render` consumes (for the parallel engine).
 
-    The precise references :func:`run` also reads are the baselines of
+    The precise references :func:`_render` also reads are the baselines of
     these technique points, so the engine schedules them implicitly.
     """
     return [
@@ -50,7 +51,7 @@ def points(small: bool = False, seed: int = 0):
     ]
 
 
-def run(small: bool = False, seed: int = 0) -> ExperimentResult:
+def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Measure precise MPKI and LVA instruction-count variation."""
     result = ExperimentResult(
         name="Table I",
@@ -65,10 +66,7 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
         result.add("paper_mpki", name, PAPER_MPKI[name])
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="table1", render_fn=run, points_fn=points)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.table1.run")
-points = deprecated_entry(DRIVER, "points", "repro.experiments.table1.points")
+DRIVER = Driver(name="table1", render_fn=_render, points_fn=_points)

@@ -8,11 +8,11 @@ matches the paper's parameters exactly.
 from __future__ import annotations
 
 from repro.core.config import ApproximatorConfig
-from repro.experiments.common import ExperimentResult
+from repro.experiments.common import Driver, ExperimentResult
 from repro.fullsystem.config import FullSystemConfig
 
 
-def run(small: bool = False, seed: int = 0) -> ExperimentResult:
+def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Collect the platform and approximator configuration values."""
     del small, seed  # configuration is scale-independent
     approximator = ApproximatorConfig()
@@ -49,9 +49,7 @@ def run(small: bool = False, seed: int = 0) -> ExperimentResult:
         result.add("value", key, float(value))
     return result
 
-from repro.experiments.common import Driver, deprecated_entry
 
 #: The :class:`~repro.experiments.common.ExperimentDriver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="table2", render_fn=run)
-run = deprecated_entry(DRIVER, "render", "repro.experiments.table2.run")
+DRIVER = Driver(name="table2", render_fn=_render)

@@ -32,7 +32,6 @@ from repro.mem.coherence import CoherenceAction, MSIDirectory
 from repro.mem.dram import DRAMModel
 from repro.noc.network import MeshNetwork
 from repro.fullsystem.config import FullSystemConfig
-from repro.sim import kernels
 from repro.sim.trace import PackedTrace, Trace
 from repro.telemetry.registry import safe_ratio
 
@@ -333,42 +332,20 @@ class FullSystemSimulator:
         """Replay ``trace`` and return the phase-2 metrics.
 
         The hot loop consumes the packed (structure-of-arrays) form:
-        a vectorized pre-pass partitions the trace into per-core event
-        queues of plain tuples, and the scheduling loop then indexes
-        those queues — no per-event dataclass allocation or attribute
-        dispatch. ``Trace`` inputs are packed first; the result is
-        bit-identical to :meth:`replay_events` on the same events.
-
-        ``REPRO_REPLAY_KERNEL`` selects how the queues are built (the
-        scheduling loop itself is genuinely sequential and shared by all
-        paths): ``vector`` (the default) gathers each core's rows
-        columnarily (``select`` + ``event_tuples`` over
-        ``per_core_indices`` spans), ``packed`` indexes one global tuple
-        list per row, and ``object`` delegates to the
-        :meth:`replay_events` reference interpreter.
+        each core's rows are gathered columnarily (``select`` +
+        ``event_tuples`` over ``per_core_indices``) into a queue of
+        plain tuples, and the scheduling loop then indexes those queues
+        — no per-event dataclass allocation or attribute dispatch.
+        ``Trace`` inputs are packed first; the result is bit-identical
+        to :meth:`replay_events` on the same events.
         """
-        path = kernels.select_fullsystem_path()
-        if path == "object":
-            source = trace.to_trace() if isinstance(trace, PackedTrace) else trace
-            return self.replay_events(source)
         packed = trace.pack() if isinstance(trace, Trace) else trace
         if not len(packed):
             raise SimulationError("cannot replay an empty trace")
-        per_core = packed.per_core_indices(self.config.num_cores)
-        if path == "packed":
-            # Scalar pre-pass: one global tuple list, indexed per row.
-            tuples = packed.event_tuples()
-            queues: Dict[int, List[tuple]] = {
-                core_id: [tuples[i] for i in rows.tolist()]
-                for core_id, rows in per_core.items()
-            }
-        else:
-            # Vectorized pre-pass: gather each core's rows as columns,
-            # then one zip into per-event tuples (C-speed throughout).
-            queues = {
-                core_id: packed.select(rows).event_tuples()
-                for core_id, rows in per_core.items()
-            }
+        queues = {
+            core_id: packed.select(rows).event_tuples()
+            for core_id, rows in packed.per_core_indices(self.config.num_cores).items()
+        }
         cursors = {core_id: 0 for core_id in queues}
         gap_pending = {core_id: True for core_id in queues}
         cores = self.cores

@@ -16,11 +16,7 @@ Importing this package registers the built-in entries; out-of-tree
 predictors call :func:`register_predictor` themselves.
 """
 
-from repro.predictors.base import (
-    MissPredictor,
-    PredictorDecision,
-    ScalarBatchFallback,
-)
+from repro.predictors.base import MissPredictor, PredictorDecision
 from repro.predictors.registry import (
     DEFAULT_PREDICTOR,
     PredictorInfo,
@@ -45,7 +41,6 @@ __all__ = [
     "MissPredictor",
     "PredictorDecision",
     "PredictorInfo",
-    "ScalarBatchFallback",
     "UnknownPredictorError",
     "active_override",
     "available_predictors",

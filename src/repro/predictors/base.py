@@ -2,7 +2,7 @@
 
 A predictor is the technique object a :class:`~repro.sim.tracesim.TraceSimulator`
 drives on approximable L1 load misses. The contract is exactly what the
-simulator and the vectorized replay kernels already call:
+simulator calls:
 
 * ``on_miss(pc, is_float, addr=0)`` — probe with one miss; returns a
   decision object carrying (at least) a training ``token`` and whether
@@ -25,15 +25,7 @@ idealized LVP, which keep their historical decision dataclasses) return
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Union,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Optional, Protocol, Union, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.config import ApproximatorConfig
@@ -78,59 +70,7 @@ class MissPredictor(Protocol):
         """Clear all architectural state and statistics."""
         ...
 
-    def on_miss_batch(
-        self,
-        pcs: Sequence[int],
-        float_flags: Sequence[bool],
-        addrs: Sequence[int],
-    ) -> List[object]:
-        """Probe with a run of consecutive misses; one decision per miss."""
-        ...
-
-    def train_batch(
-        self, tokens: Sequence[object], actuals: Sequence[Number]
-    ) -> int:
-        """Train with a run of landed fetches; return covered-miss count."""
-        ...
-
     @property
     def allocated_entries(self) -> int:
         """Number of table slots touched so far."""
         ...
-
-
-class ScalarBatchFallback:
-    """Default ``*_batch`` implementations that loop over the scalar API.
-
-    Mixing this into a predictor satisfies the batch half of the
-    :class:`MissPredictor` protocol without any vectorization work: the
-    vector replay kernel hands the predictor pre-extracted scalar
-    columns, and the fallback simply replays them through ``on_miss`` /
-    ``train`` one element at a time. Predictors with genuinely batchable
-    math (e.g. the cache-level predictor's context hashing) override
-    ``on_miss_batch`` with a columnar implementation.
-
-    The batch methods receive plain scalar sequences — never event
-    objects — so they stay clean under the LVA003 batch-contract lint.
-    """
-
-    def on_miss_batch(
-        self,
-        pcs: Sequence[int],
-        float_flags: Sequence[bool],
-        addrs: Sequence[int],
-    ) -> List[object]:
-        on_miss = self.on_miss  # type: ignore[attr-defined]
-        return [
-            on_miss(pcs[i], float_flags[i], addrs[i]) for i in range(len(pcs))
-        ]
-
-    def train_batch(
-        self, tokens: Sequence[object], actuals: Sequence[Number]
-    ) -> int:
-        train = self.train  # type: ignore[attr-defined]
-        covered = 0
-        for i in range(len(tokens)):
-            if train(tokens[i], actuals[i]):
-                covered += 1
-        return covered

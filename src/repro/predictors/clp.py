@@ -23,14 +23,12 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
-
-import numpy as np
+from typing import Dict, Optional, Union
 
 from repro.core.config import ApproximatorConfig
-from repro.core.hashing import context_hash, context_hash_array
+from repro.core.hashing import context_hash
 from repro.core.history import HistoryBuffer
-from repro.predictors.base import PredictorDecision, ScalarBatchFallback
+from repro.predictors.base import PredictorDecision
 from repro.predictors.registry import PredictorInfo, register_predictor
 from repro.telemetry.registry import safe_ratio
 
@@ -44,10 +42,6 @@ LEVEL_MEMORY = 3
 CLP_L2_BLOCKS = 4096
 #: log2 of the block size shared with the L1 model.
 CLP_BLOCK_BITS = 6
-
-#: Below this many misses, ``on_miss_batch`` hashes scalar — a numpy
-#: round-trip on a run of one or two PCs costs more than it saves.
-_BATCH_HASH_MIN = 32
 
 
 @dataclass(slots=True)
@@ -96,7 +90,7 @@ class LevelEntry:
         self.levels.clear()
 
 
-class CacheLevelPredictor(ScalarBatchFallback):
+class CacheLevelPredictor:
     """Tag-history table predicting the hit level of approximable misses.
 
     Table organisation mirrors the approximator (``table_entries`` slots
@@ -163,83 +157,6 @@ class CacheLevelPredictor(ScalarBatchFallback):
             token=LevelToken(index, tag, predicted, actual_level),
         )
 
-    def on_miss_batch(
-        self,
-        pcs: Sequence[int],
-        float_flags: Sequence[bool],
-        addrs: Sequence[int],
-    ) -> List[PredictorDecision]:
-        """Columnar ``on_miss``: hash the whole PC run in numpy passes.
-
-        The CLP's context never includes the GHB (``context_hash(pc, ())``),
-        so the index/tag hashing — the bulk of the per-miss arithmetic —
-        batches with :func:`context_hash_array`. The table walk, the
-        modelled-L2 probe (whose LRU order is the miss order, preserved
-        here) and the majority vote stay a tight scalar loop over plain
-        lists; results are bit-identical to the scalar path.
-
-        Batches shorter than ``_BATCH_HASH_MIN`` hash scalar instead:
-        the value-delay window keeps most runs to a handful of misses,
-        and a numpy round-trip per tiny run costs more than it saves.
-        Both hashers produce identical index/tag pairs, so the cutover
-        is invisible to results.
-        """
-        del float_flags  # levels are value-type agnostic
-        n = len(pcs)
-        if n < _BATCH_HASH_MIN:
-            index_bits, tag_bits = self._index_bits, self._tag_bits
-            pairs = [context_hash(pc, (), index_bits, tag_bits, 0) for pc in pcs]
-            indices = [pair[0] for pair in pairs]
-            tags = [pair[1] for pair in pairs]
-        else:
-            index_arr, tag_arr = context_hash_array(
-                np.asarray(pcs, dtype=np.uint64), self._index_bits, self._tag_bits
-            )
-            indices = index_arr.tolist()
-            tags = tag_arr.tolist()
-        stats = self.stats
-        table = self._table
-        lhb_size = self.config.lhb_size
-        decisions: List[PredictorDecision] = []
-        stats.lookups += n
-        stats.static_pcs.update(pcs)
-        for i in range(n):
-            index = indices[i]
-            tag = tags[i]
-            entry = table.get(index)
-            if entry is None:
-                entry = LevelEntry(tag, HistoryBuffer(lhb_size))
-                table[index] = entry
-                stats.tag_misses += 1
-            elif entry.tag != tag:
-                entry.reallocate(tag)
-                stats.tag_misses += 1
-            actual_level = self._probe_hierarchy(addrs[i])
-            history = entry.levels.values()
-            if not history:
-                stats.cold_misses += 1
-                decisions.append(
-                    PredictorDecision(
-                        predicted=False,
-                        value=None,
-                        fetch=True,
-                        token=LevelToken(index, tag, None, actual_level),
-                    )
-                )
-                continue
-            stats.predictions += 1
-            l2_votes = sum(1 for level in history if level == LEVEL_L2)
-            predicted = LEVEL_L2 if 2 * l2_votes > len(history) else LEVEL_MEMORY
-            decisions.append(
-                PredictorDecision(
-                    predicted=True,
-                    value=None,
-                    fetch=True,
-                    token=LevelToken(index, tag, predicted, actual_level),
-                )
-            )
-        return decisions
-
     def train(self, token: LevelToken, actual: Number) -> bool:
         """Validate the level prediction and record the observed level.
 
@@ -280,6 +197,5 @@ register_predictor(
         factory=CacheLevelPredictor,
         description="cache-level predictor: tag-history table over hit levels, rollback on miss",
         zero_output_error=True,
-        batch_kernel="batch",
     )
 )

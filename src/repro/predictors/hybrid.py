@@ -25,7 +25,7 @@ from typing import Dict, Optional, Union
 from repro.core.approximator import LoadValueApproximator, TrainToken
 from repro.core.config import ApproximatorConfig
 from repro.core.confidence import confidence_update_steps
-from repro.predictors.base import PredictorDecision, ScalarBatchFallback
+from repro.predictors.base import PredictorDecision
 from repro.predictors.lvp import IdealizedLoadValuePredictor, PredictionToken
 from repro.predictors.registry import PredictorInfo, register_predictor
 
@@ -64,15 +64,9 @@ class HybridStats:
     static_pcs: set = field(default_factory=set)
 
 
-class HybridPredictor(ScalarBatchFallback):
+class HybridPredictor:
     """Tournament arbiter over a :class:`LoadValueApproximator` and an
-    :class:`IdealizedLoadValuePredictor` built from the same config.
-
-    The batch interface is the scalar-loop fallback: the chooser makes
-    every decision data-dependent on the previous training outcome, so
-    there is no columnar shortcut — the vector kernel still wins by
-    batching everything *around* the miss stream (oracle, hashing,
-    span segmentation)."""
+    :class:`IdealizedLoadValuePredictor` built from the same config."""
 
     def __init__(self, config: Optional[ApproximatorConfig] = None) -> None:
         self.config = config or ApproximatorConfig()
@@ -158,7 +152,5 @@ register_predictor(
         description="tournament hybrid: per-PC chooser arbitrating LVA vs. idealized LVP",
         factory=HybridPredictor,
         zero_output_error=False,
-        batch_kernel="batch",
-        uses_degree=True,
     )
 )

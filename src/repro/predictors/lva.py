@@ -19,7 +19,5 @@ register_predictor(
         factory=LoadValueApproximator,
         description="load value approximation: approximate f(LHB) values, no rollback",
         zero_output_error=False,
-        batch_kernel="lva",
-        uses_degree=True,
     )
 )

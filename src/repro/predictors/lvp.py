@@ -13,9 +13,8 @@ Differences from the approximator:
 * a misprediction triggers a rollback, so the application always finishes
   with precise values: LVP has zero output error by construction.
 
-Historically this lived in ``repro.core.predictor``; it is now the
-``"lvp"`` entry of the predictor registry (:mod:`repro.predictors`) and
-the old module re-exports these names behind deprecation shims.
+It is the ``"lvp"`` entry of the predictor registry
+(:mod:`repro.predictors`).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.core.config import ApproximatorConfig
 from repro.core.entry import ApproximatorEntry
 from repro.core.hashing import context_hash
 from repro.core.history import HistoryBuffer
-from repro.predictors.base import ScalarBatchFallback
 from repro.predictors.registry import PredictorInfo, register_predictor
 
 Number = Union[int, float]
@@ -73,7 +71,7 @@ class PredictorStats:
         return self.correct / resolved if resolved else 0.0
 
 
-class IdealizedLoadValuePredictor(ScalarBatchFallback):
+class IdealizedLoadValuePredictor:
     """LVP sharing the approximator's table organisation (GHB + LHB).
 
     Reuses :class:`ApproximatorEntry` so that LVP-GHB-*n* in Figure 4 is an
@@ -162,6 +160,5 @@ register_predictor(
         factory=IdealizedLoadValuePredictor,
         description="idealized load value predictor: oracle selection, rollback on miss",
         zero_output_error=True,
-        batch_kernel="lvp",
     )
 )

@@ -51,17 +51,6 @@ class PredictorInfo:
     #: True when mispredictions roll back: the run always finishes with
     #: precise values, so the output error is zero by construction.
     zero_output_error: bool
-    #: Which vector replay core drives this predictor: "lva"/"lvp" name
-    #: the dedicated flat miss cores, "batch" routes through the generic
-    #: ``on_miss_batch``/``train_batch`` driver, and "" falls back to the
-    #: scalar-loop batch driver (still vector-eligible — the oracle and
-    #: column passes stay vectorized around it).
-    batch_kernel: str = ""
-    #: True when the predictor honors ``approximation_degree`` (skips
-    #: fetches after confident approximations). Degree-active replays
-    #: take the interleaved vector path because the L1 hit stream
-    #: becomes data-dependent on the technique state.
-    uses_degree: bool = False
 
 
 _REGISTRY: Dict[str, PredictorInfo] = {}

@@ -6,7 +6,7 @@ using local delta correlation with next-line prefetching (Nesbit & Smith,
 budget matches the 512-entry, 4-value-LHB approximator.
 """
 
-from repro.prefetch.base import Prefetcher, PrefetcherStats, block_of_array
+from repro.prefetch.base import Prefetcher, PrefetcherStats
 from repro.prefetch.ghb import GHBPrefetcher
 from repro.prefetch.nextline import NextLinePrefetcher
 
@@ -15,5 +15,4 @@ __all__ = [
     "NextLinePrefetcher",
     "Prefetcher",
     "PrefetcherStats",
-    "block_of_array",
 ]

@@ -15,18 +15,6 @@ class PrefetcherStats:
     issued: int = 0
 
 
-def block_of_array(addrs, block_bytes: int):
-    """Columnar :meth:`Prefetcher.block_of`: block-align a whole address
-    column (any numpy integer array) in one pass.
-
-    The vector replay pre-aligns the demand-miss address column with this
-    before handing it to :meth:`Prefetcher.on_miss` — legal because the
-    prefetcher contract below only ever observes addresses through
-    ``block_of``, which is idempotent on its own output.
-    """
-    return addrs & ~(block_bytes - 1)
-
-
 class Prefetcher(abc.ABC):
     """Observes the miss stream and proposes block addresses to fetch.
 
@@ -34,11 +22,6 @@ class Prefetcher(abc.ABC):
     fetches each returned block address (deduplicated against blocks
     already resident). Prefetching applies to *all* data, approximate or
     not, exactly as in the paper's evaluation.
-
-    Implementations must depend on the miss address only through
-    :meth:`block_of` — prefetch decisions are block-granular, and the
-    vector replay relies on this to feed pre-aligned address columns
-    (see :func:`block_of_array`).
     """
 
     def __init__(self, degree: int, block_bytes: int = 64) -> None:

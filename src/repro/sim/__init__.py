@@ -9,7 +9,6 @@ fetched, coverage and instruction counts.
 """
 
 from repro.sim.frontend import AddressSpace, MemoryFrontend, PreciseMemory, Region
-from repro.sim.kernels import ReplayDowngradeWarning
 from repro.sim.stats import SimulationStats
 from repro.sim.trace import LoadEvent, PackedTrace, Trace, TraceRecorder
 from repro.sim.tracesim import Mode, TraceSimulator
@@ -22,7 +21,6 @@ __all__ = [
     "PackedTrace",
     "PreciseMemory",
     "Region",
-    "ReplayDowngradeWarning",
     "SimulationStats",
     "Trace",
     "TraceRecorder",

@@ -34,7 +34,6 @@ from repro.predictors import registry as predictor_registry
 from repro.predictors.lvp import IdealizedLoadValuePredictor
 from repro.prefetch.base import Prefetcher
 from repro.prefetch.ghb import GHBPrefetcher
-from repro.sim import kernels
 from repro.sim.frontend import MemoryFrontend
 from repro.sim.stats import SimulationStats
 from repro.sim.trace import PackedTrace, Trace, TraceRecorder
@@ -75,7 +74,7 @@ class TraceSimulator(MemoryFrontend):
         self.l1 = SetAssociativeCache(l1_config, name="L1D")
         self.approximator: Optional[LoadValueApproximator] = None
         self.predictor: Optional[IdealizedLoadValuePredictor] = None
-        #: Any other registry predictor (scalar MissPredictor contract).
+        #: Any other registry predictor (MissPredictor contract).
         self.generic_predictor: Optional[object] = None
         #: Registry name of the technique driven on misses (None = none).
         self.predictor_name: Optional[str] = None
@@ -191,7 +190,7 @@ class TraceSimulator(MemoryFrontend):
     def _serve_generic_miss(
         self, pc: int, addr: int, actual: Number, is_float: bool
     ) -> Number:
-        """Drive a registry predictor through the scalar MissPredictor
+        """Drive a registry predictor through the MissPredictor
         contract (see :mod:`repro.predictors.base`).
 
         A returned value covers the miss at decision time (LVA-style); a
@@ -265,19 +264,8 @@ class TraceSimulator(MemoryFrontend):
         """Drive the simulator from a captured trace instead of a live
         workload; returns the final stats (:meth:`finish` is applied).
 
-        Three replay paths exist, selected by ``REPRO_REPLAY_KERNEL``
-        (see :mod:`repro.sim.kernels`):
-
-        * ``object`` — the reference interpreter over event objects;
-        * ``packed`` — the scalar interpreter over packed column tuples
-          (one tuple unpack per event, no dataclass dispatch);
-        * ``vector`` — the batched numpy kernels (the default whenever
-          the configuration is eligible; otherwise the replay downgrades
-          to ``packed``, warning when the reason is dynamic).
-
-        All three are bit-identical by contract (the equality pins live in
-        ``tests/sim/test_kernels.py`` and
-        ``tests/fullsystem/test_packed_replay.py``).
+        A :class:`Trace` is packed first; the loop then unpacks one
+        column tuple per event (no per-event dataclass dispatch).
 
         Replay is *open loop*: recorded values are fed to the technique
         exactly as captured, so an LVA run cannot steer the address
@@ -288,23 +276,11 @@ class TraceSimulator(MemoryFrontend):
         :func:`repro.experiments.common.run_technique`'s live phase-1
         runs, whose output error depends on the clobbered values.
         """
-        path = kernels.select_path(self, len(trace))
-        if path == "vector":
-            packed = trace.pack() if isinstance(trace, Trace) else trace
-            kernels.replay_vector(self, packed)
-            return self.finish()
-        if path == "object":
-            source = trace.to_trace() if isinstance(trace, PackedTrace) else trace
-            events = (
-                (e.pc, e.addr, e.value, e.is_float, e.approximable, e.gap, e.is_store)
-                for e in source.events
-            )
-        else:  # packed
-            packed = trace.pack() if isinstance(trace, Trace) else trace
-            events = iter(packed.event_tuples())
+        packed = trace.pack() if isinstance(trace, Trace) else trace
         instructions = self.instructions
         serve_load = self._serve_load
         serve_store = self._serve_store
+        events = packed.event_tuples()
         for pc, addr, value, is_float, approximable, gap, is_store in events:
             instructions += gap + 1
             self.instructions = instructions

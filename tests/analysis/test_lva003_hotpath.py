@@ -163,180 +163,3 @@ class TestHotMethodAllocations:
             )
             == []
         )
-
-
-class TestBatchMethods:
-    """The predictor batch contract: ``*_batch`` methods in hot-path
-    packages take scalar columns and must never read event fields,
-    though they may loop (the scalar fallbacks iterate by design)."""
-
-    MODULE = "repro.predictors.snippet"
-
-    def test_event_field_read_in_batch_method_fires(self):
-        assert _hits(
-            """\
-            class StridePredictor:
-                def on_miss_batch(self, events):
-                    return [self.on_miss(e.pc, e.is_float) for e in events]
-            """,
-            module=self.MODULE,
-        ) == [(3, "LVA003"), (3, "LVA003")]
-
-    def test_event_field_read_in_train_batch_fires(self):
-        assert _hits(
-            """\
-            class StridePredictor:
-                def train_batch(self, tokens, events):
-                    covered = 0
-                    for i in range(len(tokens)):
-                        covered += self.train(tokens[i], events[i].value)
-                    return covered
-            """,
-            module=self.MODULE,
-        ) == [(5, "LVA003")]
-
-    def test_scalar_fallback_loop_is_clean(self):
-        # The ScalarBatchFallback shape: plain columns in, a loop over
-        # the scalar API — loops are explicitly allowed here.
-        assert (
-            _hits(
-                """\
-                class ScalarBatchFallback:
-                    def on_miss_batch(self, pcs, float_flags, addrs):
-                        out = []
-                        for i in range(len(pcs)):
-                            out.append(self.on_miss(pcs[i], float_flags[i], addrs[i]))
-                        return out
-
-                    def train_batch(self, tokens, actuals):
-                        covered = 0
-                        for i in range(len(tokens)):
-                            covered += 1 if self.train(tokens[i], actuals[i]) else 0
-                        return covered
-                """,
-                module=self.MODULE,
-            )
-            == []
-        )
-
-    def test_non_batch_method_may_read_event_fields(self):
-        # Only the *_batch suffix carries the column contract; scalar
-        # entry points legitimately take an event-shaped argument.
-        assert (
-            _hits(
-                """\
-                class Recorder:
-                    def observe(self, event):
-                        self.last_pc = event.pc
-                """,
-                module=self.MODULE,
-            )
-            == []
-        )
-
-    def test_batch_methods_outside_hotpath_packages_are_exempt(self):
-        assert (
-            _hits(
-                """\
-                class ReportBuilder:
-                    def rows_batch(self, events):
-                        return [e.pc for e in events]
-                """,
-                module="repro.experiments.snippet",
-            )
-            == []
-        )
-
-
-class TestKernelFunctions:
-    """The batch contract of the vectorized replay kernels: functions
-    named ``*_kernel``/``*_span(s)`` in kernel modules must be
-    whole-column numpy passes."""
-
-    MODULE = "repro.sim.kernels"
-
-    def test_per_event_loop_in_kernel_fires(self):
-        assert _hits(
-            """\
-            def decompose_addr_kernel(addrs, offset_bits):
-                out = []
-                for a in addrs:
-                    out.append(a >> offset_bits)
-                return out
-            """,
-            module=self.MODULE,
-        ) == [(3, "LVA003")]
-
-    def test_while_loop_in_kernel_fires(self):
-        assert _hits(
-            """\
-            def segment_spans_kernel(is_store):
-                i = 0
-                while i < len(is_store):
-                    i += 1
-            """,
-            module=self.MODULE,
-        ) == [(3, "LVA003")]
-
-    def test_comprehension_in_kernel_fires(self):
-        assert _hits(
-            """\
-            def load_ordinal_kernel(is_store):
-                return [not s for s in is_store]
-            """,
-            module=self.MODULE,
-        ) == [(2, "LVA003")]
-
-    def test_event_field_read_in_kernel_fires(self):
-        assert _hits(
-            """\
-            def window_denominator_span(events, window):
-                return events[0].value * window
-            """,
-            module=self.MODULE,
-        ) == [(2, "LVA003")]
-
-    def test_whole_column_numpy_pass_is_clean(self):
-        assert (
-            _hits(
-                """\
-                import numpy as np
-
-
-                def decompose_addr_kernel(addr, offset_bits, index_mask, index_bits):
-                    block = addr >> offset_bits
-                    return block & index_mask, block >> index_bits
-                """,
-                module=self.MODULE,
-            )
-            == []
-        )
-
-    def test_non_kernel_function_may_loop(self):
-        # The scalar flat cores and rebuild helpers iterate by design;
-        # only the suffix-named batch functions carry the contract.
-        assert (
-            _hits(
-                """\
-                def _lva_flat(sim, miss):
-                    total = 0
-                    for value in miss["val"]:
-                        total += value
-                    return total
-                """,
-                module=self.MODULE,
-            )
-            == []
-        )
-
-    def test_kernel_names_outside_kernel_modules_are_exempt(self):
-        assert (
-            _hits(
-                """\
-                def resize_kernel(rows):
-                    return [r for r in rows]
-                """,
-                module="repro.mem.cache",
-            )
-            == []
-        )

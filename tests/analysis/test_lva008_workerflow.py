@@ -1,8 +1,8 @@
 """LVA008 — interprocedural determinism along worker-reachable paths.
 
-Synthetic universes with a worker module (``app.pool``), kernel module
-(``app.kernels``), simulation package (``app.sim``) and flow-exempt
-telemetry (``app.tel``) pin the reachability semantics: which functions
+Synthetic universes with a worker module (``app.pool``), simulation
+package (``app.sim``) and flow-exempt telemetry (``app.tel``) pin the
+reachability semantics: which functions
 count as roots, which modules are skipped (LVA001 territory, exempt
 packages), and that messages carry the call chain.
 """
@@ -22,8 +22,6 @@ CONFIG = AnalysisConfig(
     host_allowlist=(),
     worker_modules=("app.pool",),
     worker_entry_patterns=("_run_", "_worker"),
-    kernel_modules=("app.kernels",),
-    kernel_fn_suffixes=("_kernel",),
     flow_entry_points=("app.engine:Engine.run",),
     flow_exempt_modules=("app.tel",),
     envspec_module="app.envspec",
@@ -69,21 +67,6 @@ class TestReachability:
         assert "reachable via app.pool._run_point -> app.util.helper" in (
             violation.message
         )
-
-    def test_kernel_batch_function_is_a_root(self):
-        violations = run(
-            {
-                "app.util": WALLCLOCK_HELPER,
-                "app.kernels": """\
-                    from app.util import helper
-
-                    def replay_kernel(columns):
-                        return helper()
-                    """,
-            }
-        )
-        assert len(violations) == 1
-        assert "app.kernels.replay_kernel" in violations[0].message
 
     def test_configured_entry_method_is_a_root(self):
         violations = run(

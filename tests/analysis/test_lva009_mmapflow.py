@@ -21,7 +21,6 @@ SELECT = frozenset({"LVA009"})
 CONFIG = AnalysisConfig(
     sim_packages=("app.sim",),
     worker_modules=("app.pool",),
-    kernel_modules=("app.kernels",),
     flow_entry_points=(),
     flow_exempt_modules=(),
     mmap_providers=("app.store:Store.get",),

@@ -16,7 +16,6 @@ from repro.analysis.core import Violation
 CONFIG = AnalysisConfig(
     sim_packages=("app.sim",),
     worker_modules=("app.pool",),
-    kernel_modules=("app.kernels",),
     flow_entry_points=(),
     flow_exempt_modules=(),
     key_function_markers=("cache_key",),

@@ -62,7 +62,7 @@ class TestAveraged:
         assert "mean of 3 seeds" in merged.description
 
     def test_single_repeat_equivalent(self):
-        merged = averaged(lambda small=False, seed=0: table2.run(), repeats=1)
+        merged = averaged(lambda small=False, seed=0: table2.DRIVER.render(), repeats=1)
         assert merged.series["value"]["cores"] == 4
 
     def test_invalid_repeats_rejected(self):

@@ -23,7 +23,7 @@ from repro.experiments import (
     table1,
     table2,
 )
-from repro.experiments.runner import EXPERIMENTS, main
+from repro.experiments.runner import DRIVERS, main
 from repro.workloads.registry import workload_names
 
 
@@ -58,23 +58,33 @@ class TestCommon:
         assert "w1" in table and "average" in table
         assert result.average("a") == 2.0
 
+    def test_absent_cells_render_as_dash_and_nan_as_failed(self):
+        result = common.ExperimentResult("X", "desc")
+        result.add("a", "w1", 1.0)
+        result.add("b", "w2", 2.0)
+        table = result.format_table()
+        assert "FAILED" not in table
+        assert "—" in table
+        result.add("a", "w3", float("nan"))
+        assert "FAILED" in result.format_table()
+
 
 class TestTable1:
     def test_columns_and_workloads(self):
-        result = table1.run(small=True)
+        result = table1.DRIVER.render(small=True)
         assert set(result.series) == {
             "precise_mpki", "instruction_variation", "paper_mpki"
         }
         assert set(result.series["precise_mpki"]) == set(ALL)
 
     def test_variation_is_small(self):
-        result = table1.run(small=True)
+        result = table1.DRIVER.render(small=True)
         assert result.average("instruction_variation") < 0.25
 
 
 class TestTable2:
     def test_matches_paper_constants(self):
-        values = table2.run().series["value"]
+        values = table2.DRIVER.render().series["value"]
         assert values["cores"] == 4
         assert values["l1_kb"] == 16
         assert values["l2_kb"] == 512
@@ -88,23 +98,23 @@ class TestTable2:
 
 class TestFig4and5:
     def test_fig4_series_complete(self):
-        result = fig4.run(small=True)
+        result = fig4.DRIVER.render(small=True)
         assert len(result.series) == 8  # {LVP,LVA} x 4 GHB sizes
         for series in result.series.values():
             assert set(series) == set(ALL)
 
     def test_lva_beats_idealized_lvp_on_average(self):
-        result = fig4.run(small=True)
+        result = fig4.DRIVER.render(small=True)
         assert result.average("LVA-GHB-0") < result.average("LVP-GHB-0")
 
     def test_normalized_mpki_bounded(self):
-        result = fig4.run(small=True)
+        result = fig4.DRIVER.render(small=True)
         for series in result.series.values():
             for value in series.values():
                 assert 0.0 <= value <= 1.1
 
     def test_fig5_errors_in_unit_interval(self):
-        result = fig5.run(small=True)
+        result = fig5.DRIVER.render(small=True)
         for series in result.series.values():
             for value in series.values():
                 assert 0.0 <= value <= 1.0
@@ -112,21 +122,21 @@ class TestFig4and5:
 
 class TestFig6:
     def test_window_relaxation_lowers_mpki(self):
-        result = fig6.run(small=True)
+        result = fig6.DRIVER.render(small=True)
         assert result.average("mpki-infinite") <= result.average("mpki-0%") + 1e-9
 
     def test_exact_window_has_near_zero_error(self):
-        result = fig6.run(small=True)
+        result = fig6.DRIVER.render(small=True)
         assert result.average("error-0%") <= result.average("error-infinite") + 1e-9
 
 
 class TestFig7:
     def test_all_delays_measured(self):
-        result = fig7.run(small=True)
+        result = fig7.DRIVER.render(small=True)
         assert {f"mpki-delay-{d}" for d in (4, 8, 16, 32)} <= set(result.series)
 
     def test_resilient_to_delay(self):
-        result = fig7.run(small=True)
+        result = fig7.DRIVER.render(small=True)
         spread = abs(
             result.average("error-delay-32") - result.average("error-delay-4")
         )
@@ -135,19 +145,19 @@ class TestFig7:
 
 class TestFig8and9:
     def test_fetch_direction_split(self):
-        result = fig8.run(small=True)
+        result = fig8.DRIVER.render(small=True)
         # Prefetching fetches more than precise; LVA fetches less.
         assert result.average("prefetch-16-fetches") > 1.0
         assert result.average("approx-16-fetches") < 1.0
 
     def test_lva_fetches_fall_with_degree(self):
-        result = fig8.run(small=True)
+        result = fig8.DRIVER.render(small=True)
         assert result.average("approx-16-fetches") < result.average(
             "approx-2-fetches"
         )
 
     def test_fig9_error_bounded(self):
-        result = fig9.run(small=True)
+        result = fig9.DRIVER.render(small=True)
         for series in result.series.values():
             for value in series.values():
                 assert 0.0 <= value <= 1.0
@@ -155,19 +165,19 @@ class TestFig8and9:
 
 class TestFig10and11:
     def test_fig10_series_complete(self):
-        result = fig10.run(small=True)
+        result = fig10.DRIVER.render(small=True)
         assert "speedup-approx-0" in result.series
         assert "energy-approx-16" in result.series
         assert set(result.series["speedup-approx-0"]) == set(ALL)
 
     def test_degree16_saves_energy_vs_degree0(self):
-        result = fig10.run(small=True)
+        result = fig10.DRIVER.render(small=True)
         assert result.average("energy-approx-16") > result.average(
             "energy-approx-0"
         )
 
     def test_fig11_edp_improves_with_degree(self):
-        result = fig11.run(small=True)
+        result = fig11.DRIVER.render(small=True)
         assert result.average("approx-16") <= result.average("approx-0") + 1e-9
         for series in result.series.values():
             for value in series.values():
@@ -176,19 +186,19 @@ class TestFig10and11:
 
 class TestFig12and13:
     def test_pc_counts_small_and_x264_largest(self):
-        result = fig12.run(small=True)
+        result = fig12.DRIVER.render(small=True)
         counts = result.series["static_approx_pcs"]
         assert all(count < 512 for count in counts.values())
         assert counts["x264"] == max(counts.values())
 
     def test_fig13_rows(self):
-        result = fig13.run(small=True)
+        result = fig13.DRIVER.render(small=True)
         assert set(result.series["normalized_mpki"]) == {
             "drop-0", "drop-5", "drop-11", "drop-17", "drop-23"
         }
 
     def test_fig13_full_truncation_not_worse(self):
-        result = fig13.run(small=True)
+        result = fig13.DRIVER.render(small=True)
         series = result.series["normalized_mpki"]
         assert series["drop-23"] <= series["drop-0"] + 1e-9
 
@@ -205,7 +215,7 @@ class TestRunnerCLI:
 
     def test_registry_covers_every_table_and_figure(self):
         expected = {"table1", "table2"} | {f"fig{i}" for i in range(4, 14)}
-        assert expected <= set(EXPERIMENTS)
+        assert expected <= set(DRIVERS)
         # ...plus the ablation studies.
         assert {
             "ablate-table-size",
@@ -213,14 +223,14 @@ class TestRunnerCLI:
             "ablate-compute-fn",
             "ablate-int-confidence",
             "ablate-confidence-steps",
-        } <= set(EXPERIMENTS)
+        } <= set(DRIVERS)
 
 
 class TestFig1:
     def test_summary_fields(self):
         from repro.experiments import fig1
 
-        result = fig1.run(small=True)
+        result = fig1.DRIVER.render(small=True)
         summary = result.series["summary"]
         assert 0.0 <= summary["output_error"] <= 1.0
         assert 0.0 <= summary["coverage"] <= 1.0
@@ -247,14 +257,14 @@ class TestSensitivity:
     def test_baseline_row_is_zero_delta(self):
         from repro.experiments import sensitivity
 
-        result = sensitivity.run(small=True)
+        result = sensitivity.DRIVER.render(small=True)
         assert result.series["mpki_delta"]["baseline"] == 0.0
         assert result.series["error_delta"]["baseline"] == 0.0
 
     def test_all_perturbations_present(self):
         from repro.experiments import sensitivity
 
-        result = sensitivity.run(small=True)
+        result = sensitivity.DRIVER.render(small=True)
         rows = set(result.series["mpki"])
         assert "confidence_window-low" in rows
         assert "approximation_degree-high" in rows
@@ -262,7 +272,7 @@ class TestSensitivity:
     def test_relaxed_window_reduces_mpki(self):
         from repro.experiments import sensitivity
 
-        result = sensitivity.run(small=True)
+        result = sensitivity.DRIVER.render(small=True)
         assert (
             result.series["mpki"]["confidence_window-high"]
             <= result.series["mpki"]["confidence_window-low"]

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.core.config import ApproximatorConfig
-from repro.experiments import common, diskcache, sweep, tracestore
+from repro.experiments import common, diskcache, sweep
 from repro.experiments.sweep import SweepEngine, fullsystem_point
 from repro.fullsystem import FullSystemResult
 

@@ -169,7 +169,7 @@ class TestEngineResume:
         """Acceptance: a run with one FAILED point, rerun with resume=True,
         recomputes exactly the missing point and completes the table."""
         faults.activate("raise:mantissa_drop_bits=11")
-        first = SweepEngine(jobs=1).execute(fig13.points(small=True))
+        first = SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
         assert len(first.failures) == 1
         faults.deactivate()
 
@@ -179,25 +179,25 @@ class TestEngineResume:
         common._TECHNIQUE_CACHE.clear()
         common._TRACE_CACHE.clear()
 
-        second = SweepEngine(jobs=1, resume=True).execute(fig13.points(small=True))
+        second = SweepEngine(jobs=1, resume=True).execute(fig13.DRIVER.points(small=True))
         assert not second.failures
         assert second.resumed_points == 5  # 1 baseline + 4 healthy points
         assert second.technique_computed == 1  # only the previously failed one
 
-        table = fig13.run(small=True)
+        table = fig13.DRIVER.render(small=True)
         assert not any(
             math.isnan(v) for v in table.series["normalized_mpki"].values()
         )
 
     def test_resumed_table_is_bitwise_identical(self, clean_caches):
         faults.activate("raise:mantissa_drop_bits=11")
-        SweepEngine(jobs=1).execute(fig13.points(small=True))
+        SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
         faults.deactivate()
         common._PRECISE_CACHE.clear()
         common._TECHNIQUE_CACHE.clear()
         common._TRACE_CACHE.clear()
-        SweepEngine(jobs=1, resume=True).execute(fig13.points(small=True))
-        resumed = fig13.run(small=True)
+        SweepEngine(jobs=1, resume=True).execute(fig13.DRIVER.points(small=True))
+        resumed = fig13.DRIVER.render(small=True)
 
         # Uninterrupted run on pristine caches, different directory.
         import os
@@ -207,15 +207,15 @@ class TestEngineResume:
         common._PRECISE_CACHE.clear()
         common._TECHNIQUE_CACHE.clear()
         common._TRACE_CACHE.clear()
-        SweepEngine(jobs=1).execute(fig13.points(small=True))
-        pristine = fig13.run(small=True)
+        SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
+        pristine = fig13.DRIVER.render(small=True)
 
         assert resumed.series == pristine.series
 
     def test_resume_after_torn_journal_tail_recomputes_once(self, clean_caches):
         """A torn final line (hard kill mid-append) loses exactly that
         point's record; --resume recomputes it once, never duplicates."""
-        SweepEngine(jobs=1).execute(fig13.points(small=True))
+        SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
         journals = list((diskcache.default_cache_dir() / "journals").glob("*.jsonl"))
         assert len(journals) == 1
         blob = journals[0].read_bytes()
@@ -225,7 +225,7 @@ class TestEngineResume:
         common._PRECISE_CACHE.clear()
         common._TECHNIQUE_CACHE.clear()
         common._TRACE_CACHE.clear()
-        second = SweepEngine(jobs=1, resume=True).execute(fig13.points(small=True))
+        second = SweepEngine(jobs=1, resume=True).execute(fig13.DRIVER.points(small=True))
         assert not second.failures
         assert second.resumed_points == 5  # all but the torn record
         records = [
@@ -237,7 +237,7 @@ class TestEngineResume:
         assert len(done_keys) == len(set(done_keys))  # no duplicated points
 
     def test_journal_written_next_to_cache(self, clean_caches):
-        SweepEngine(jobs=1).execute(fig13.points(small=True))
+        SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
         journals = list((diskcache.default_cache_dir() / "journals").glob("*.jsonl"))
         assert len(journals) == 1
         records = [
@@ -258,7 +258,7 @@ class TestEngineResume:
         common._PRECISE_CACHE.clear()
         common._TECHNIQUE_CACHE.clear()
         try:
-            SweepEngine(jobs=1).execute(fig13.points(small=True))
+            SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
             assert not (tmp_path / "nope").exists()
         finally:
             common._PRECISE_CACHE.clear()

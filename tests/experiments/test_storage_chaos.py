@@ -268,9 +268,9 @@ class TestSweepUnderStorageChaos:
         _inject(monkeypatch, spec)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            report = SweepEngine(jobs=1).execute(fig13.points(small=True))
+            report = SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
         assert not report.failures  # chaos never fails the science
-        chaotic = fig13.run(small=True)
+        chaotic = fig13.DRIVER.render(small=True)
         monkeypatch.delenv(INJECT_ENV)
         fsfaults.reset_counters()
 
@@ -279,7 +279,7 @@ class TestSweepUnderStorageChaos:
         common._PRECISE_CACHE.clear()
         common._TECHNIQUE_CACHE.clear()
         common._TRACE_CACHE.clear()
-        SweepEngine(jobs=1).execute(fig13.points(small=True))
-        pristine = fig13.run(small=True)
+        SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
+        pristine = fig13.DRIVER.render(small=True)
 
         assert chaotic.series == pristine.series

@@ -48,8 +48,8 @@ class TestSweepPoint:
 
     def test_points_dedupe_across_experiments(self):
         """Figures 4 and 5 share every LVA point; dedup must collapse them."""
-        pts = fig4.points(small=True) + fig4.points(small=True)
-        assert len(dict.fromkeys(pts)) == len(fig4.points(small=True))
+        pts = fig4.DRIVER.points(small=True) + fig4.DRIVER.points(small=True)
+        assert len(dict.fromkeys(pts)) == len(fig4.DRIVER.points(small=True))
 
     def test_params_are_order_insensitive(self):
         a = technique_point("canneal", Mode.LVA, params={"x": 1, "y": 2})
@@ -95,13 +95,13 @@ class TestSerialEngine:
     def test_fig13_equivalent_to_driver_alone(self, clean_caches):
         """A table built after a sweep is bitwise-identical to one built
         by the driver alone on cold caches."""
-        expected = fig13.run(small=True)
+        expected = fig13.DRIVER.render(small=True)
         common._PRECISE_CACHE.clear()
         common._TECHNIQUE_CACHE.clear()
         common.reset_caches()
 
-        report = SweepEngine(jobs=1).execute(fig13.points(small=True))
-        swept = fig13.run(small=True)
+        report = SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
+        swept = fig13.DRIVER.render(small=True)
 
         assert dataclasses.asdict(swept) == dataclasses.asdict(expected)
         assert report.unique_points == 5
@@ -112,20 +112,20 @@ class TestSerialEngine:
     def test_fig4_equivalent_to_driver_alone(self, clean_caches):
         """The acceptance point: Figure 4 through the engine + disk cache
         is bitwise-identical to the driver computing everything itself."""
-        expected = fig4.run(small=True)
+        expected = fig4.DRIVER.render(small=True)
         common.reset_caches()
 
-        report = SweepEngine(jobs=1).execute(fig4.points(small=True))
-        swept = fig4.run(small=True)
+        report = SweepEngine(jobs=1).execute(fig4.DRIVER.points(small=True))
+        swept = fig4.DRIVER.render(small=True)
 
         assert dataclasses.asdict(swept) == dataclasses.asdict(expected)
         assert report.precise_computed == report.unique_baselines == 7
         assert report.technique_computed == report.unique_points == 56
 
     def test_driver_rerun_is_pure_cache_hits(self, clean_caches):
-        SweepEngine(jobs=1).execute(fig13.points(small=True))
+        SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
         before = common.COMPUTE_COUNTERS.as_dict()
-        fig13.run(small=True)
+        fig13.DRIVER.render(small=True)
         after = common.COMPUTE_COUNTERS.as_dict()
         assert after["precise_computed"] == before["precise_computed"]
         assert after["technique_computed"] == before["technique_computed"]
@@ -135,7 +135,7 @@ class TestParallelEngine:
     def test_exactly_once_across_workers(self, clean_caches):
         """Every baseline and every technique point is computed exactly
         once across the worker pool, never per-worker."""
-        points = fig12.points(small=True) + fig13.points(small=True)
+        points = fig12.DRIVER.points(small=True) + fig13.DRIVER.points(small=True)
         unique = list(dict.fromkeys(points))
         baselines = set(p.baseline() for p in unique)
 
@@ -147,21 +147,21 @@ class TestParallelEngine:
         assert report.technique_computed == len(unique)
 
     def test_backfill_makes_driver_rerun_free(self, clean_caches):
-        SweepEngine(jobs=2).execute(fig13.points(small=True))
+        SweepEngine(jobs=2).execute(fig13.DRIVER.points(small=True))
         before = common.COMPUTE_COUNTERS.as_dict()
-        result = fig13.run(small=True)
+        result = fig13.DRIVER.render(small=True)
         after = common.COMPUTE_COUNTERS.as_dict()
         assert after["precise_computed"] == before["precise_computed"]
         assert after["technique_computed"] == before["technique_computed"]
         assert result.series  # the table really was assembled
 
     def test_parallel_equivalent_to_serial(self, clean_caches):
-        serial = fig13.run(small=True)
+        serial = fig13.DRIVER.render(small=True)
         common._PRECISE_CACHE.clear()
         common._TECHNIQUE_CACHE.clear()
         common.reset_caches()
-        SweepEngine(jobs=2).execute(fig13.points(small=True))
-        parallel = fig13.run(small=True)
+        SweepEngine(jobs=2).execute(fig13.DRIVER.points(small=True))
+        parallel = fig13.DRIVER.render(small=True)
         assert dataclasses.asdict(parallel) == dataclasses.asdict(serial)
 
 
@@ -181,7 +181,7 @@ class TestRunnerIntegration:
 
     def test_unswept_experiments_have_no_points(self):
         for name in ("table2", "ablate-noc-model"):
-            assert name in runner.EXPERIMENTS
+            assert name in runner.DRIVERS
             assert name not in runner.POINTS
 
     def test_fullsystem_experiments_declare_points(self):

@@ -1,23 +1,21 @@
-"""Bit-equality pin: fault-injected replays across interpreter paths.
+"""Fault-injected trace replays: the fault stream is part of the replay.
 
-PR 6's contract is that the packed interpreter is bit-identical to the
-object reference, and that the vector kernel downgrades (with a warning)
-whenever control flow would diverge — which includes active memory
-faults. This suite locks both halves of that contract *under* injected
-``flip``/``drop`` faults: the deterministic fault stream must perturb
-the object path and the packed path identically, and a vector request
-must downgrade to the same bits, never silently diverge.
+The deterministic ``flip``/``drop`` fault stream must perturb the packed
+replay exactly as it perturbs the object reference (the same events fed
+through the workload-facing API), and must actually change a replay's
+outcome (otherwise every faulted pin would be vacuous). A storage-only
+``REPRO_INJECT`` spec — torn cache writes, journal kills — must leave a
+replay bit-identical to a clean one: storage clauses never reach the
+simulated memory system.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
 from repro import Mode, TraceRecorder, TraceSimulator, get_workload
 from repro.faults.memory import INJECT_ENV
-from repro.sim import kernels
+from tests.sim.reference import object_replay
 
 WORKLOADS = ["fluidanimate", "swaptions"]
 FAULT_SPECS = [
@@ -26,13 +24,6 @@ FAULT_SPECS = [
     "flip:prob=0.02,seed=1;drop:prob=0.05,seed=2",
 ]
 MODES = [Mode.LVA, Mode.LVP, Mode.PRECISE]
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warn_state():
-    kernels.reset_downgrade_warnings()
-    yield
-    kernels.reset_downgrade_warnings()
 
 
 @pytest.fixture(scope="module")
@@ -48,14 +39,9 @@ def traces():
     return captured
 
 
-def _replay(trace, mode, kernel, monkeypatch):
-    monkeypatch.setenv(kernels.ENV_KERNEL, kernel)
+def _replay(trace, mode=Mode.LVA):
     sim = TraceSimulator(mode)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", kernels.ReplayDowngradeWarning)
-        stats = sim.replay(trace.pack() if kernel != "object" else trace)
-    monkeypatch.delenv(kernels.ENV_KERNEL)
-    return stats, sim
+    return sim.replay(trace.pack()), sim
 
 
 def _assert_same_state(a_sim, b_sim):
@@ -79,48 +65,25 @@ class TestFaultedPackedPin:
     ):
         monkeypatch.setenv(INJECT_ENV, spec)
         trace = traces[workload]
-        ref_stats, ref_sim = _replay(trace, mode, "object", monkeypatch)
-        packed_stats, packed_sim = _replay(trace, mode, "packed", monkeypatch)
+        ref_sim = TraceSimulator(mode)
+        ref_stats = object_replay(ref_sim, trace)
+        packed_stats, packed_sim = _replay(trace, mode)
         assert packed_stats == ref_stats
         _assert_same_state(packed_sim, ref_sim)
 
     def test_faults_actually_perturb_the_replay(self, traces, monkeypatch):
         """Guard against vacuous pins: the spec must change the outcome."""
         trace = traces["fluidanimate"]
-        clean_stats, _ = _replay(trace, Mode.LVA, "object", monkeypatch)
+        clean_stats, _ = _replay(trace)
         monkeypatch.setenv(INJECT_ENV, "flip:prob=0.5,seed=7")
-        faulted_stats, _ = _replay(trace, Mode.LVA, "object", monkeypatch)
+        faulted_stats, _ = _replay(trace)
         assert faulted_stats != clean_stats
 
-
-class TestFaultedVectorDowngrade:
-    """A vector request under faults downgrades loudly to identical bits."""
-
-    @pytest.mark.parametrize("spec", FAULT_SPECS)
-    def test_vector_warns_and_matches_reference(self, spec, traces, monkeypatch):
+    def test_storage_faults_leave_replay_intact(self, traces, monkeypatch):
         trace = traces["fluidanimate"]
-        monkeypatch.setenv(INJECT_ENV, spec)
-        ref_stats, ref_sim = _replay(trace, Mode.LVA, "object", monkeypatch)
-
-        monkeypatch.setenv(kernels.ENV_KERNEL, "vector")
-        sim = TraceSimulator(Mode.LVA)
-        with pytest.warns(kernels.ReplayDowngradeWarning, match="fault injection"):
-            vec_stats = sim.replay(trace.pack())
-        monkeypatch.delenv(kernels.ENV_KERNEL)
-
-        assert vec_stats == ref_stats
-        _assert_same_state(sim, ref_sim)
-
-    def test_storage_faults_do_not_downgrade_the_kernel(self, traces, monkeypatch):
-        """Storage clauses fold into nothing for replay too: a pure
-        storage spec must leave the vector kernel eligible and clean."""
-        trace = traces["fluidanimate"]
-        ref_stats, _ = _replay(trace, Mode.LVA, "object", monkeypatch)
+        clean_stats, clean_sim = _replay(trace)
         monkeypatch.setenv(INJECT_ENV, "torn:target=cache;kill:site=journal")
-        monkeypatch.setenv(kernels.ENV_KERNEL, "vector")
-        sim = TraceSimulator(Mode.LVA)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", kernels.ReplayDowngradeWarning)
-            vec_stats = sim.replay(trace.pack())
-        monkeypatch.delenv(kernels.ENV_KERNEL)
-        assert vec_stats == ref_stats
+        stats, sim = _replay(trace)
+        assert stats == clean_stats
+        assert sim.l1.stats == clean_sim.l1.stats
+        assert sim.approximator.stats == clean_sim.approximator.stats

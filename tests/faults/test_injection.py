@@ -16,13 +16,13 @@ CRASH_ONE = "crash:mantissa_drop_bits=11"
 
 
 def _fig13_table(small=True):
-    return fig13.run(small=small)
+    return fig13.DRIVER.render(small=small)
 
 
 class TestSerialSupervision:
     def test_injected_raise_becomes_failed_cell(self, fresh_memory_caches):
         faults.activate("raise:mantissa_drop_bits=11")
-        report = SweepEngine(jobs=1).execute(fig13.points(small=True))
+        report = SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
 
         assert len(report.failures) == 1
         failure = report.failures[0]
@@ -38,21 +38,21 @@ class TestSerialSupervision:
         """A crash clause must not take down the parent process: in the
         serial engine it degrades to WorkerCrashError."""
         faults.activate(CRASH_ONE)
-        report = SweepEngine(jobs=1).execute(fig13.points(small=True))
+        report = SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
         assert [f.error_type for f in report.failures] == ["WorkerCrashError"]
         assert report.unique_points - len(report.failures) == 4
 
     def test_retries_exhausted_counts_attempts(self, fresh_memory_caches):
         faults.activate("raise:mantissa_drop_bits=11")
         engine = SweepEngine(jobs=1, retries=2, backoff_base=0.01)
-        report = engine.execute(fig13.points(small=True))
+        report = engine.execute(fig13.DRIVER.points(small=True))
         assert report.retried_attempts == 2
         assert report.failures[0].attempts == 3
 
     def test_flaky_point_recovers_with_retries(self, fresh_memory_caches):
         faults.activate("flaky:mantissa_drop_bits=11,fails=1")
         engine = SweepEngine(jobs=1, retries=1, backoff_base=0.01)
-        report = engine.execute(fig13.points(small=True))
+        report = engine.execute(fig13.DRIVER.points(small=True))
         assert not report.failures
         assert report.retried_attempts == 1
         table = _fig13_table()
@@ -60,7 +60,7 @@ class TestSerialSupervision:
 
     def test_flaky_without_retries_fails(self, fresh_memory_caches):
         faults.activate("flaky:mantissa_drop_bits=11,fails=1")
-        report = SweepEngine(jobs=1, retries=0).execute(fig13.points(small=True))
+        report = SweepEngine(jobs=1, retries=0).execute(fig13.DRIVER.points(small=True))
         assert len(report.failures) == 1
 
 
@@ -70,7 +70,7 @@ class TestParallelSupervision:
         leaves all other points intact; the crasher ends as a FAILED cell
         after the engine degrades to serial execution."""
         faults.activate(CRASH_ONE)
-        report = SweepEngine(jobs=2).execute(fig13.points(small=True))
+        report = SweepEngine(jobs=2).execute(fig13.DRIVER.points(small=True))
 
         assert len(report.failures) == 1
         assert report.failures[0].point.config.mantissa_drop_bits == 11
@@ -85,7 +85,7 @@ class TestParallelSupervision:
     def test_hang_reaped_by_point_timeout(self, fresh_memory_caches):
         faults.activate("hang:mantissa_drop_bits=11,seconds=60")
         engine = SweepEngine(jobs=2, point_timeout=1.5)
-        report = engine.execute(fig13.points(small=True))
+        report = engine.execute(fig13.DRIVER.points(small=True))
 
         assert report.timeouts >= 1
         assert any(f.error_type == "PointTimeoutError" for f in report.failures)
@@ -95,7 +95,7 @@ class TestParallelSupervision:
 
     def test_failed_baseline_prefails_dependent_points(self, fresh_memory_caches):
         faults.activate("raise:kind=precise,workload=fluidanimate")
-        report = SweepEngine(jobs=1).execute(fig13.points(small=True))
+        report = SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
 
         # 1 baseline failure + 5 dependent technique points.
         kinds = sorted(f.kind for f in report.failures)

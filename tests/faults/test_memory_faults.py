@@ -154,7 +154,7 @@ class TestResultIsolation:
 
 class TestFaultAblationDriver:
     def test_points_cover_every_level_and_workload(self):
-        pts = fault_ablation.points(small=True)
+        pts = fault_ablation.DRIVER.points(small=True)
         assert len(pts) == len(fault_ablation.WORKLOADS) * len(
             fault_ablation.FAULT_LEVELS
         )
@@ -162,7 +162,7 @@ class TestFaultAblationDriver:
         assert "" in specs and len(specs) == len(fault_ablation.FAULT_LEVELS)
 
     def test_run_reports_error_and_coverage_per_level(self, fresh_memory_caches):
-        result = fault_ablation.run(small=True)
+        result = fault_ablation.DRIVER.render(small=True)
         for tag, _ in fault_ablation.FAULT_LEVELS:
             assert f"error@{tag}" in result.series
             assert f"coverage@{tag}" in result.series

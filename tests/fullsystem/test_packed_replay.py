@@ -1,9 +1,9 @@
 """Differential tests: packed replay is bit-identical to the object path.
 
-The packed columnar hot loop in :meth:`FullSystemSimulator.run` and
-:meth:`TraceSimulator.replay` must reproduce the object-list reference
-interpreters exactly — same scheduling, same stats, same energy — or the
-perf optimisation would silently change the science.
+The packed columnar hot loop in :meth:`FullSystemSimulator.run` must
+reproduce the :meth:`FullSystemSimulator.replay_events` reference
+interpreter exactly — same scheduling, same stats, same energy — or the
+packed loop would silently change the science.
 """
 
 from __future__ import annotations
@@ -54,18 +54,6 @@ class TestFullSystemBitEquality:
         packed = FullSystemSimulator(FullSystemConfig()).run(trace.pack())
         assert_results_equal(reference, packed)
 
-    @pytest.mark.parametrize("path", ["object", "packed", "vector"])
-    def test_every_run_path_matches_replay_events(self, path, monkeypatch):
-        trace = capture("canneal")
-        config = FullSystemConfig(
-            approximate=True,
-            approximator=ApproximatorConfig(approximation_degree=4),
-        )
-        reference = FullSystemSimulator(config).replay_events(trace)
-        monkeypatch.setenv("REPRO_REPLAY_KERNEL", path)
-        pinned = FullSystemSimulator(config).run(trace.pack())
-        assert_results_equal(reference, pinned)
-
     @pytest.mark.parametrize("name", BASELINE_WORKLOADS)
     def test_packed_run_matches_object_reference_with_lva(self, name):
         trace = capture(name)
@@ -82,47 +70,3 @@ class TestFullSystemBitEquality:
         via_object = FullSystemSimulator(FullSystemConfig()).run(trace)
         via_packed = FullSystemSimulator(FullSystemConfig()).run(trace.pack())
         assert_results_equal(via_object, via_packed)
-
-
-class TestTraceSimReplayBitEquality:
-    @pytest.mark.parametrize(
-        "mode", [Mode.PRECISE, Mode.LVA, Mode.LVP, Mode.PREFETCH]
-    )
-    @pytest.mark.parametrize("path", ["packed", "vector"])
-    def test_every_replay_path_matches_object_replay(self, mode, path, monkeypatch):
-        from repro.sim import kernels
-
-        trace = capture("swaptions")
-        monkeypatch.setenv(kernels.ENV_KERNEL, "object")
-        object_stats = TraceSimulator(mode).replay(trace)
-        monkeypatch.setenv(kernels.ENV_KERNEL, path)
-        # Every mode — prefetch included — replays vector-eligible now.
-        pinned_stats = TraceSimulator(mode).replay(trace.pack())
-        assert pinned_stats == object_stats
-
-    @pytest.mark.parametrize(
-        "config",
-        [
-            ApproximatorConfig(approximation_degree=2),
-            ApproximatorConfig(approximation_degree=4, ghb_size=2),
-            ApproximatorConfig(predictor="clp"),
-            ApproximatorConfig(predictor="hybrid"),
-            ApproximatorConfig(predictor="hybrid", approximation_degree=2),
-        ],
-        ids=["deg2", "deg4-ghb2", "clp", "hybrid", "hybrid-deg2"],
-    )
-    @pytest.mark.parametrize("path", ["packed", "vector"])
-    def test_degree_and_predictor_configs_match_object_replay(
-        self, config, path, monkeypatch
-    ):
-        from repro.sim import kernels
-
-        mode = Mode.PREDICTOR if config.predictor else Mode.LVA
-        trace = capture("fluidanimate")
-        monkeypatch.setenv(kernels.ENV_KERNEL, "object")
-        object_stats = TraceSimulator(mode, approximator_config=config).replay(trace)
-        monkeypatch.setenv(kernels.ENV_KERNEL, path)
-        pinned_stats = TraceSimulator(mode, approximator_config=config).replay(
-            trace.pack()
-        )
-        assert pinned_stats == object_stats

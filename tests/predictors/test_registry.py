@@ -60,6 +60,10 @@ class TestRegistryShape:
         with pytest.raises(ConfigurationError, match="available"):
             Simulation.builder().workload(WORKLOAD).predictor("nope")
 
+    def test_builder_requires_a_registry_name(self):
+        with pytest.raises(ConfigurationError, match="registry name"):
+            Simulation.builder().workload(WORKLOAD).predictor(ApproximatorConfig())
+
     def test_duplicate_registration_rejected(self):
         info = predictors.get_info("lva")
         with pytest.raises(ConfigurationError, match="already registered"):

@@ -1,16 +1,17 @@
-"""Tests for the vectorized replay kernels (`repro.sim.kernels`).
+"""Replay equivalence pins over the phase-1 design space.
 
-The vector path's contract is *bit-equality* with the scalar reference
-interpreter: same `SimulationStats`, same cache counters, same technique
-counters, on every eligible configuration — plus a warned, stats-identical
-downgrade to the packed interpreter everywhere else.
+These pins were written for the columnar replay kernels, which are gone:
+:meth:`TraceSimulator.replay` has one interpreter left, the packed-tuple
+loop. The test names are kept. Every pin now holds that loop to the object
+reference (:func:`tests.sim.reference.object_replay`, the same ``Trace``
+event objects fed through the workload-facing ``MemoryFrontend`` API):
+same ``SimulationStats``, same cache counters, same technique state, on
+all workloads × modes, approximation degrees, registry predictors and
+prefetchers.
 """
 
 from __future__ import annotations
 
-import warnings
-
-import numpy as np
 import pytest
 
 from repro import (
@@ -19,28 +20,12 @@ from repro import (
     TraceRecorder,
     TraceSimulator,
     get_workload,
-    telemetry,
 )
-from repro.core.config import INFINITE_WINDOW
-from repro.core.confidence import confidence_update_steps, confidence_update_steps_array
-from repro.core.hashing import context_hash, context_hash_array, fold_array
-from repro.errors import ConfigurationError
 from repro.experiments.common import BASELINE_WORKLOADS
-from repro.faults.memory import INJECT_ENV
-from repro.mem.replacement import FIFOPolicy
-from repro.mem.cache import SetAssociativeCache
-from repro.sim import kernels
 from repro.sim.trace import Trace
+from tests.sim.reference import object_replay
 
 MODES = [Mode.PRECISE, Mode.LVA, Mode.LVP, Mode.PREFETCH]
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warn_state():
-    """Warn-once state is process-global; isolate it per test."""
-    kernels.reset_downgrade_warnings()
-    yield
-    kernels.reset_downgrade_warnings()
 
 
 @pytest.fixture(scope="module")
@@ -54,16 +39,6 @@ def traces():
         sim.finish()
         captured[name] = recorder.trace
     return captured
-
-
-def replay_on(trace, mode, path, monkeypatch, config=None):
-    monkeypatch.setenv(kernels.ENV_KERNEL, path)
-    sim = TraceSimulator(mode, approximator_config=config)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", kernels.ReplayDowngradeWarning)
-        stats = sim.replay(trace.pack())
-    monkeypatch.delenv(kernels.ENV_KERNEL)
-    return stats, sim
 
 
 def _assert_same_lva_tables(a_tech, b_tech):
@@ -107,71 +82,43 @@ def assert_same_state(a_sim, b_sim):
         assert pf_a.stats == pf_b.stats
 
 
+def assert_matches_reference(trace, make_sim):
+    """Replay ``trace`` packed on one fresh simulator and through the
+    object reference on another; both must end in the same state."""
+    sim, ref_sim = make_sim(), make_sim()
+    stats = sim.replay(trace.pack())
+    assert stats == object_replay(ref_sim, trace)
+    assert_same_state(sim, ref_sim)
+    return stats, sim
+
+
+def _sim(mode, config=None):
+    return lambda: TraceSimulator(mode, approximator_config=config)
+
+
 class TestBitEquality:
-    """The acceptance pin: vector == object on all workloads × modes."""
+    """The acceptance pin: replay == object reference on all workloads × modes."""
 
     @pytest.mark.parametrize("name", BASELINE_WORKLOADS)
     @pytest.mark.parametrize("mode", MODES)
-    def test_vector_matches_object_reference(self, name, mode, traces, monkeypatch):
-        trace = traces[name]
-        ref_stats, ref_sim = replay_on(trace, mode, "object", monkeypatch)
-        vec_stats, vec_sim = replay_on(trace, mode, "vector", monkeypatch)
-        assert vec_stats == ref_stats
-        assert_same_state(vec_sim, ref_sim)
-
-
-SWEEP_CONFIGS = [
-    ApproximatorConfig(),
-    ApproximatorConfig(ghb_size=2),
-    ApproximatorConfig(ghb_size=2, mantissa_drop_bits=8),
-    ApproximatorConfig(confidence_window=INFINITE_WINDOW),
-    ApproximatorConfig(confidence_window=0.0),
-    ApproximatorConfig(confidence_step_max=3),
-    ApproximatorConfig(apply_confidence_to_ints=True),
-    ApproximatorConfig(apply_confidence_to_floats=False),
-    ApproximatorConfig(lhb_size=1),
-    ApproximatorConfig(compute_fn="last"),
-    ApproximatorConfig(compute_fn="stride"),
-    ApproximatorConfig(compute_fn="delta"),
-    ApproximatorConfig(table_entries=64, tag_bits=8),
-    ApproximatorConfig(value_delay=0),
-    ApproximatorConfig(value_delay=9),
-]
-
-
-class TestConfigSweepEquality:
-    """Vector equality across the phase-1 design space, both techniques."""
-
-    @pytest.mark.parametrize("config", SWEEP_CONFIGS)
-    @pytest.mark.parametrize("mode", [Mode.LVA, Mode.LVP])
-    def test_vector_matches_packed(self, config, mode, traces, monkeypatch):
-        trace = traces["swaptions"]
-        ref_stats, ref_sim = replay_on(trace, mode, "packed", monkeypatch, config)
-        vec_stats, vec_sim = replay_on(trace, mode, "vector", monkeypatch, config)
-        assert vec_stats == ref_stats
-        assert_same_state(vec_sim, ref_sim)
+    def test_vector_matches_object_reference(self, name, mode, traces):
+        assert_matches_reference(traces[name], _sim(mode))
 
 
 class TestDegreeBitEquality:
-    """Degree-triggered fetch skips replay at vector speed, bit-identical
-    (the interleaved LVA pass): all workloads × degrees 1-3."""
+    """Degree-triggered fetch skips: all workloads × degrees 1-3."""
 
     @pytest.mark.parametrize("name", BASELINE_WORKLOADS)
     @pytest.mark.parametrize("degree", [1, 2, 3])
-    def test_vector_matches_object(self, name, degree, traces, monkeypatch):
+    def test_vector_matches_object(self, name, degree, traces):
         config = ApproximatorConfig(approximation_degree=degree)
-        trace = traces[name]
-        ref_stats, ref_sim = replay_on(trace, Mode.LVA, "object", monkeypatch, config)
-        vec_stats, vec_sim = replay_on(trace, Mode.LVA, "vector", monkeypatch, config)
-        assert vec_stats == ref_stats
-        assert_same_state(vec_sim, ref_sim)
+        assert_matches_reference(traces[name], _sim(Mode.LVA, config))
 
-    def test_degree_actually_skips_fetches_under_vector(self, traces, monkeypatch):
-        """Canary: the pin above is vacuous if no fetch was ever skipped."""
+    def test_degree_actually_skips_fetches_under_vector(self, traces):
+        """Canary: the pins above are vacuous if no fetch was ever skipped."""
         config = ApproximatorConfig(approximation_degree=2)
-        stats, sim = replay_on(
-            traces["x264"], Mode.LVA, "vector", monkeypatch, config
-        )
+        sim = TraceSimulator(Mode.LVA, approximator_config=config)
+        stats = sim.replay(traces["x264"].pack())
         assert stats.fetches_avoided > 0
         assert sim.approximator.stats.fetches_skipped == stats.fetches_avoided
         assert stats.fetches < stats.raw_misses
@@ -187,432 +134,85 @@ class TestDegreeBitEquality:
             ApproximatorConfig(approximation_degree=2, lhb_size=1),
         ],
     )
-    def test_degree_config_sweep(self, config, traces, monkeypatch):
-        trace = traces["fluidanimate"]
-        ref_stats, ref_sim = replay_on(trace, Mode.LVA, "object", monkeypatch, config)
-        vec_stats, vec_sim = replay_on(trace, Mode.LVA, "vector", monkeypatch, config)
-        assert vec_stats == ref_stats
-        assert_same_state(vec_sim, ref_sim)
+    def test_degree_config_sweep(self, config, traces):
+        assert_matches_reference(traces["fluidanimate"], _sim(Mode.LVA, config))
 
 
 class TestPredictorZooBitEquality:
-    """Every registry predictor replays through the vector kernel (flat
-    cores for lva/lvp, the batch-contract driver for clp/hybrid),
-    bit-identical on all workloads."""
+    """Every registry predictor replays bit-identically on all workloads."""
 
     @pytest.mark.parametrize("name", BASELINE_WORKLOADS)
     @pytest.mark.parametrize("predictor", ["lva", "lvp", "clp", "hybrid"])
-    def test_vector_matches_object(self, name, predictor, traces, monkeypatch):
+    def test_vector_matches_object(self, name, predictor, traces):
         config = ApproximatorConfig(predictor=predictor)
-        trace = traces[name]
-        ref_stats, ref_sim = replay_on(
-            trace, Mode.PREDICTOR, "object", monkeypatch, config
-        )
-        vec_stats, vec_sim = replay_on(
-            trace, Mode.PREDICTOR, "vector", monkeypatch, config
-        )
-        assert vec_stats == ref_stats
-        assert_same_state(vec_sim, ref_sim)
+        assert_matches_reference(traces[name], _sim(Mode.PREDICTOR, config))
 
-    @pytest.mark.parametrize("value_delay", [0, 9])
-    @pytest.mark.parametrize("predictor", ["clp", "hybrid"])
-    def test_batch_driver_run_slicing_across_delays(
-        self, predictor, value_delay, traces, monkeypatch
-    ):
-        """The run-based batch driver's interleaving depends on the value
-        delay; pin the extremes (immediate due vs. long in-flight runs)."""
-        config = ApproximatorConfig(predictor=predictor, value_delay=value_delay)
-        trace = traces["bodytrack"]
-        ref_stats, ref_sim = replay_on(
-            trace, Mode.PREDICTOR, "object", monkeypatch, config
-        )
-        vec_stats, vec_sim = replay_on(
-            trace, Mode.PREDICTOR, "vector", monkeypatch, config
-        )
-        assert vec_stats == ref_stats
-        assert_same_state(vec_sim, ref_sim)
-
-    def test_hybrid_honors_degree_under_vector(self, traces, monkeypatch):
-        """Hybrid inherits LVA's fetch skips: degree > 0 routes it through
-        the interleaved generic pass, still bit-identical."""
+    def test_hybrid_honors_degree_under_vector(self, traces):
+        """Hybrid inherits LVA's fetch skips, still bit-identical."""
         config = ApproximatorConfig(predictor="hybrid", approximation_degree=2)
-        trace = traces["x264"]
-        ref_stats, ref_sim = replay_on(
-            trace, Mode.PREDICTOR, "object", monkeypatch, config
+        stats, _ = assert_matches_reference(
+            traces["x264"], _sim(Mode.PREDICTOR, config)
         )
-        vec_stats, vec_sim = replay_on(
-            trace, Mode.PREDICTOR, "vector", monkeypatch, config
-        )
-        assert vec_stats == ref_stats
-        assert vec_stats.fetches_avoided > 0
-        assert_same_state(vec_sim, ref_sim)
+        assert stats.fetches_avoided > 0
 
-    def test_clp_covers_misses_under_vector(self, traces, monkeypatch):
+    def test_clp_covers_misses_under_vector(self, traces):
         """Canary: correct level predictions count as covered misses."""
         config = ApproximatorConfig(predictor="clp")
-        stats, sim = replay_on(
-            traces["fluidanimate"], Mode.PREDICTOR, "vector", monkeypatch, config
-        )
+        sim = TraceSimulator(Mode.PREDICTOR, approximator_config=config)
+        stats = sim.replay(traces["fluidanimate"].pack())
         assert stats.covered_misses > 0
         assert sim.generic_predictor.stats.correct == stats.covered_misses
 
 
 class TestPrefetchBitEquality:
-    """Prefetch fill injection replays at vector speed: the interleaved
-    pass drives the real prefetcher and models usefulness flags."""
+    """Prefetch fill injection: the real prefetcher drives usefulness flags."""
 
-    def test_prefetch_actually_fires_under_vector(self, traces, monkeypatch):
-        stats, sim = replay_on(traces["bodytrack"], Mode.PREFETCH, "vector", monkeypatch)
+    def test_prefetch_actually_fires_under_vector(self, traces):
+        sim = TraceSimulator(Mode.PREFETCH)
+        stats = sim.replay(traces["bodytrack"].pack())
         assert stats.prefetch_fetches > 0
         assert sim.l1.stats.useful_prefetches > 0
 
     @pytest.mark.parametrize("degree", [1, 8])
-    def test_prefetch_degree_sweep(self, degree, traces, monkeypatch):
-        trace = traces["canneal"].pack()
-        monkeypatch.setenv(kernels.ENV_KERNEL, "object")
-        ref_sim = TraceSimulator(Mode.PREFETCH, prefetch_degree=degree)
-        ref_stats = ref_sim.replay(trace)
-        monkeypatch.setenv(kernels.ENV_KERNEL, "vector")
-        vec_sim = TraceSimulator(Mode.PREFETCH, prefetch_degree=degree)
-        vec_stats = vec_sim.replay(trace)
-        assert vec_stats == ref_stats
-        assert_same_state(vec_sim, ref_sim)
+    def test_prefetch_degree_sweep(self, degree, traces):
+        assert_matches_reference(
+            traces["canneal"],
+            lambda: TraceSimulator(Mode.PREFETCH, prefetch_degree=degree),
+        )
 
-    def test_nextline_prefetcher_matches(self, traces, monkeypatch):
+    def test_nextline_prefetcher_matches(self, traces):
         from repro.prefetch.nextline import NextLinePrefetcher
 
-        trace = traces["fluidanimate"].pack()
-        monkeypatch.setenv(kernels.ENV_KERNEL, "object")
-        ref_sim = TraceSimulator(Mode.PREFETCH, prefetcher=NextLinePrefetcher(degree=4))
-        ref_stats = ref_sim.replay(trace)
-        monkeypatch.setenv(kernels.ENV_KERNEL, "vector")
-        vec_sim = TraceSimulator(Mode.PREFETCH, prefetcher=NextLinePrefetcher(degree=4))
-        vec_stats = vec_sim.replay(trace)
-        assert vec_stats == ref_stats
-        assert_same_state(vec_sim, ref_sim)
-
-
-class TestSmallTraceSelection:
-    """Satellite: tiny traces auto-select the packed interpreter — the
-    vector pipeline's fixed numpy setup dominates under a few hundred
-    events — silently (both paths are bit-identical, so this is a
-    heuristic, not a downgrade)."""
-
-    def test_small_trace_auto_selects_packed(self, monkeypatch):
-        monkeypatch.delenv(kernels.ENV_KERNEL, raising=False)
-        sim = TraceSimulator(Mode.LVA)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", kernels.ReplayDowngradeWarning)
-            assert kernels.select_path(sim, kernels.DEFAULT_VECTOR_MIN - 1) == "packed"
-            assert kernels.select_path(sim, kernels.DEFAULT_VECTOR_MIN) == "vector"
-            assert kernels.select_path(sim) == "vector"  # unknown length
-
-    def test_threshold_env_override(self, monkeypatch):
-        monkeypatch.delenv(kernels.ENV_KERNEL, raising=False)
-        monkeypatch.setenv(kernels.ENV_VECTOR_MIN, "8")
-        sim = TraceSimulator(Mode.LVA)
-        assert kernels.select_path(sim, 8) == "vector"
-        assert kernels.select_path(sim, 7) == "packed"
-
-    def test_invalid_threshold_rejected(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VECTOR_MIN, "lots")
-        with pytest.raises(ConfigurationError):
-            kernels.vector_min_events()
-
-    def test_forced_vector_bypasses_threshold(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_KERNEL, "vector")
-        assert kernels.select_path(TraceSimulator(Mode.LVA), 4) == "vector"
-
-    def test_default_selection_matches_forced_vector(self, traces, monkeypatch):
-        """The swaptions small trace (the original regression) replays
-        packed by default yet stays bit-identical to forced vector."""
-        trace = traces["swaptions"]
-        assert len(trace.pack()) < kernels.DEFAULT_VECTOR_MIN
-        monkeypatch.delenv(kernels.ENV_KERNEL, raising=False)
-        default_stats = TraceSimulator(Mode.LVA).replay(trace.pack())
-        forced_stats, _ = replay_on(trace, Mode.LVA, "vector", monkeypatch)
-        assert default_stats == forced_stats
+        assert_matches_reference(
+            traces["fluidanimate"],
+            lambda: TraceSimulator(
+                Mode.PREFETCH, prefetcher=NextLinePrefetcher(degree=4)
+            ),
+        )
 
 
 class TestContinuationEquality:
-    """The rebuilt architectural state must be indistinguishable: a second
-    replay on the same simulator continues exactly like the scalar one."""
+    """A second replay on the same simulator continues from the first
+    one's caches and tables exactly like the object reference does."""
 
     @pytest.mark.parametrize("mode", [Mode.LVA, Mode.LVP])
-    def test_second_replay_continues_identically(self, mode, traces, monkeypatch):
+    def test_second_replay_continues_identically(self, mode, traces):
         first, second = traces["swaptions"], traces["blackscholes"]
-        monkeypatch.setenv(kernels.ENV_KERNEL, "packed")
-        scalar = TraceSimulator(mode)
-        scalar.replay(first.pack())
-        scalar_stats = scalar.replay(second.pack())
-        monkeypatch.setenv(kernels.ENV_KERNEL, "vector")
-        vector = TraceSimulator(mode)
-        vector.replay(first.pack())
-        with warnings.catch_warnings():
-            # The second replay downgrades (state present) — expected.
-            warnings.simplefilter("ignore", kernels.ReplayDowngradeWarning)
-            vector_stats = vector.replay(second.pack())
-        assert vector_stats == scalar_stats
-        assert_same_state(vector, scalar)
-
-
-class TestArrayOpParity:
-    """The numpy array forms must be bit-identical to their scalar twins."""
-
-    def test_fold_array_matches_scalar_fold(self, rng):
-        from repro.core.hashing import _fold
-
-        values = rng.integers(0, 2**63, size=256, dtype=np.uint64)
-        for bits in (5, 9, 21):
-            folded = fold_array(values, bits)
-            for raw, out in zip(values.tolist(), folded.tolist()):
-                assert out == _fold(raw, bits)
-
-    def test_context_hash_array_matches_scalar(self, rng):
-        pcs = rng.integers(0, 2**62, size=512, dtype=np.int64)
-        for index_bits, tag_bits in ((9, 21), (6, 8), (0, 21), (12, 4)):
-            idx, tag = context_hash_array(pcs, index_bits, tag_bits)
-            for pc, i, t in zip(pcs.tolist(), idx.tolist(), tag.tolist()):
-                assert (i, t) == context_hash(pc, (), index_bits, tag_bits)
-
-    @pytest.mark.parametrize("window", [0.0, 0.1, 2.0, INFINITE_WINDOW])
-    @pytest.mark.parametrize("step_max", [1, 3])
-    def test_confidence_steps_array_matches_scalar(self, window, step_max, rng):
-        approx = rng.normal(size=200) * 100
-        actual = rng.normal(size=200) * 100
-        # Exercise the boundary and degenerate branches explicitly.
-        approx = np.concatenate([approx, [0.0, 1.1, 5.0, np.nan, 3.0, 1.0]])
-        actual = np.concatenate([actual, [0.0, 1.0, 0.0, 1.0, np.nan, 1.0]])
-        steps = confidence_update_steps_array(approx, actual, window, step_max)
-        for a, b, s in zip(approx.tolist(), actual.tolist(), steps.tolist()):
-            assert s == confidence_update_steps(a, b, window, step_max), (a, b)
-
-    def test_decompose_addr_kernel_matches_cache(self, rng):
-        cache = SetAssociativeCache()
-        addrs = rng.integers(0, 2**40, size=128, dtype=np.int64)
-        set_idx, btag = kernels.decompose_addr_kernel(
-            addrs, cache._offset_bits, cache._index_mask, cache._index_bits
-        )
-        for addr, s, t in zip(addrs.tolist(), set_idx.tolist(), btag.tolist()):
-            assert (s, t) == cache._decompose(addr)
-
-    def test_window_denominator_kernel_matches_scalar(self):
-        value_f = np.array([0.0, -2.5, 1e300, 7.0])
-        value_i = np.array([0, 3, -9, 0], dtype=np.int64)
-        value_is_int = np.array([False, True, True, False])
-        denom = kernels.window_denominator_kernel(value_f, value_i, value_is_int, 0.1)
-        actuals = [0.0, 3, -9, 7.0]
-        expected = [0.1 * abs(a) if a != 0 else 0.1 for a in actuals]
-        assert denom.tolist() == expected
-
-
-class TestSpanKernels:
-    def test_segment_spans_no_stores_is_one_span(self):
-        starts, ends = kernels.segment_spans_kernel(np.zeros(5, dtype=bool))
-        assert starts.tolist() == [0]
-        assert ends.tolist() == [5]
-
-    def test_segment_spans_all_stores_is_empty_spans(self):
-        starts, ends = kernels.segment_spans_kernel(np.ones(3, dtype=bool))
-        assert starts.tolist() == [0, 1, 2, 3]
-        assert ends.tolist() == [0, 1, 2, 3]
-
-    def test_segment_spans_mixed(self):
-        is_store = np.array([False, True, False, False, True])
-        starts, ends = kernels.segment_spans_kernel(is_store)
-        assert starts.tolist() == [0, 2, 5]
-        assert ends.tolist() == [1, 4, 5]
-
-    def test_load_ordinals_skip_stores(self):
-        is_store = np.array([False, True, False, False])
-        assert kernels.load_ordinal_kernel(is_store).tolist() == [1, 1, 2, 3]
-
-
-class TestPathSelection:
-    def test_invalid_path_rejected(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_KERNEL, "simd")
-        with pytest.raises(ConfigurationError):
-            kernels.requested_path()
-
-    def test_unset_env_defaults_to_vector_when_eligible(self, monkeypatch):
-        monkeypatch.delenv(kernels.ENV_KERNEL, raising=False)
-        assert kernels.select_path(TraceSimulator(Mode.LVA)) == "vector"
-
-    @pytest.mark.parametrize("path", ["object", "packed"])
-    def test_explicit_scalar_paths_win(self, path, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_KERNEL, path)
-        assert kernels.select_path(TraceSimulator(Mode.LVA)) == path
-
-    def test_prefetch_mode_is_eligible(self):
-        assert kernels.vector_ineligibility(TraceSimulator(Mode.PREFETCH)) is None
-
-    def test_degree_is_eligible(self):
-        sim = TraceSimulator(
-            Mode.LVA, approximator_config=ApproximatorConfig(approximation_degree=4)
-        )
-        assert kernels.vector_ineligibility(sim) is None
-
-    @pytest.mark.parametrize("predictor", ["lva", "lvp", "clp", "hybrid"])
-    def test_registry_predictors_are_eligible(self, predictor):
-        sim = TraceSimulator(
-            Mode.PREDICTOR,
-            approximator_config=ApproximatorConfig(predictor=predictor),
-        )
-        assert kernels.vector_ineligibility(sim) is None
-
-    def test_non_lru_policy_is_ineligible(self):
-        sim = TraceSimulator(Mode.LVA)
-        sim.l1 = SetAssociativeCache(policy=FIFOPolicy(), name="L1D")
-        assert kernels.vector_ineligibility(sim) is not None
-
-    def test_dirty_simulator_is_ineligible(self, traces):
-        sim = TraceSimulator(Mode.LVA)
-        assert kernels.vector_ineligibility(sim) is None
-        sim.replay(traces["swaptions"].pack())
-        reason = kernels.vector_ineligibility(sim)
-        assert reason is not None and "architectural state" in reason[0]
-
-    def test_static_downgrade_is_silent_unless_forced(self, monkeypatch):
-        sim = TraceSimulator(Mode.LVA)
-        sim.l1 = SetAssociativeCache(policy=FIFOPolicy(), name="L1D")
-        monkeypatch.delenv(kernels.ENV_KERNEL, raising=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", kernels.ReplayDowngradeWarning)
-            assert kernels.select_path(sim) == "packed"
-        monkeypatch.setenv(kernels.ENV_KERNEL, "vector")
-        with pytest.warns(kernels.ReplayDowngradeWarning):
-            assert kernels.select_path(sim) == "packed"
-
-    def test_remaining_ineligibility_reasons(self, traces, monkeypatch):
-        """The shrunken reason set: only faults, telemetry, exotic
-        replacement and pre-existing state downgrade the vector kernel —
-        every phase-1 technique configuration is eligible fresh."""
-        kernels.reset_downgrade_warnings()
-        monkeypatch.setenv(INJECT_ENV, "flip:prob=0.05,seed=3")
-        fault_reason = kernels.vector_ineligibility(TraceSimulator(Mode.LVA))
-        monkeypatch.delenv(INJECT_ENV)
-        monkeypatch.setenv(telemetry.TELEMETRY_ENV, "1")
-        telemetry.shutdown()
-        try:
-            tel_reason = kernels.vector_ineligibility(TraceSimulator(Mode.LVA))
-        finally:
-            monkeypatch.delenv(telemetry.TELEMETRY_ENV)
-            telemetry.shutdown()
-        fifo = TraceSimulator(Mode.LVA)
-        fifo.l1 = SetAssociativeCache(policy=FIFOPolicy(), name="L1D")
-        fifo_reason = kernels.vector_ineligibility(fifo)
-        dirty = TraceSimulator(Mode.LVA)
-        dirty.replay(traces["swaptions"].pack())
-        dirty_reason = kernels.vector_ineligibility(dirty)
-        assert {
-            fault_reason[0],
-            tel_reason[0],
-            fifo_reason[0],
-            dirty_reason[0],
-        } == {
-            "fault injection active (REPRO_INJECT)",
-            "telemetry sampling active",
-            "non-LRU L1 replacement policy",
-            "simulator already holds architectural state",
-        }
-        # Dynamic flags: run-dependent reasons warn even unforced.
-        assert fault_reason[1] is True and tel_reason[1] is True
-        assert fifo_reason[1] is False and dirty_reason[1] is False
-
-
-class TestDowngradeUnderFaults:
-    """Satellite: fault injection downgrades, warns once, and matches the
-    packed scalar path exactly."""
-
-    SPEC = "flip:prob=0.05,seed=3"
-
-    def test_warns_once_and_matches_packed(self, traces, monkeypatch):
-        trace = traces["swaptions"].pack()
-        monkeypatch.setenv(INJECT_ENV, self.SPEC)
-
-        monkeypatch.setenv(kernels.ENV_KERNEL, "packed")
-        reference = TraceSimulator(Mode.LVA).replay(trace)
-
-        monkeypatch.delenv(kernels.ENV_KERNEL)
-        with pytest.warns(kernels.ReplayDowngradeWarning, match="fault injection"):
-            downgraded = TraceSimulator(Mode.LVA).replay(trace)
-        assert downgraded == reference
-        assert downgraded.value_bit_flips > 0  # faults actually fired
-
-        # Second downgrade for the same reason is silent (warn once).
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", kernels.ReplayDowngradeWarning)
-            again = TraceSimulator(Mode.LVA).replay(trace)
-        assert again == reference
-
-
-class TestDowngradeUnderTelemetry:
-    """Satellite: telemetry sampling downgrades, warns once, and matches
-    the packed scalar path exactly."""
-
-    def test_warns_once_and_matches_packed(self, traces, monkeypatch):
-        trace = traces["swaptions"].pack()
-        monkeypatch.setenv(telemetry.TELEMETRY_ENV, "1")
-        telemetry.shutdown()
-        try:
-            monkeypatch.setenv(kernels.ENV_KERNEL, "packed")
-            reference = TraceSimulator(Mode.LVA).replay(trace)
-
-            monkeypatch.delenv(kernels.ENV_KERNEL)
-            with pytest.warns(kernels.ReplayDowngradeWarning, match="telemetry"):
-                downgraded = TraceSimulator(Mode.LVA).replay(trace)
-            assert downgraded == reference
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", kernels.ReplayDowngradeWarning)
-                again = TraceSimulator(Mode.LVA).replay(trace)
-            assert again == reference
-        finally:
-            telemetry.shutdown()
-
-
-def _has_numba() -> bool:
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-class TestJitOracle:
-    def test_missing_numba_warns_once_and_falls_back(self, traces, monkeypatch):
-        if _has_numba():
-            pytest.skip("numba installed; fallback path not reachable")
-        monkeypatch.setenv(kernels.ENV_JIT, "1")
-        monkeypatch.setattr(kernels, "_JIT_TRIED", False)
-        monkeypatch.setattr(kernels, "_JIT_ORACLE", None)
-        trace = traces["swaptions"].pack()
-        monkeypatch.setenv(kernels.ENV_KERNEL, "packed")
-        reference = TraceSimulator(Mode.LVA).replay(trace)
-        monkeypatch.setenv(kernels.ENV_KERNEL, "vector")
-        with pytest.warns(kernels.ReplayDowngradeWarning, match="numba"):
-            stats = TraceSimulator(Mode.LVA).replay(trace)
-        assert stats == reference
-
-    @pytest.mark.skipif(not _has_numba(), reason="numba not installed")
-    def test_jit_oracle_matches_python_oracle(self, traces, monkeypatch):
-        trace = traces["swaptions"].pack()
-        monkeypatch.setenv(kernels.ENV_KERNEL, "vector")
-        monkeypatch.delenv(kernels.ENV_JIT, raising=False)
-        plain = TraceSimulator(Mode.LVA).replay(trace)
-        monkeypatch.setenv(kernels.ENV_JIT, "1")
-        monkeypatch.setattr(kernels, "_JIT_TRIED", False)
-        monkeypatch.setattr(kernels, "_JIT_ORACLE", None)
-        jitted = TraceSimulator(Mode.LVA).replay(trace)
-        assert jitted == plain
+        reference = TraceSimulator(mode)
+        object_replay(reference, first)
+        reference_stats = object_replay(reference, second)
+        sim = TraceSimulator(mode)
+        sim.replay(first.pack())
+        stats = sim.replay(second.pack())
+        assert stats == reference_stats
+        assert_same_state(sim, reference)
 
 
 class TestObjectTraceInput:
-    """A Trace (object) input reaches the vector kernel via pack()."""
+    """A Trace (object) input is packed first and replays identically."""
 
-    def test_vector_replay_accepts_object_trace(self, traces, monkeypatch):
+    def test_vector_replay_accepts_object_trace(self, traces):
         trace = traces["swaptions"]
-        ref_stats, _ = replay_on(trace, Mode.LVA, "object", monkeypatch)
-        monkeypatch.setenv(kernels.ENV_KERNEL, "vector")
+        reference = object_replay(TraceSimulator(Mode.LVA), trace)
         stats = TraceSimulator(Mode.LVA).replay(Trace(list(trace.events)))
-        assert stats == ref_stats
+        assert stats == reference

@@ -178,8 +178,9 @@ class TestTraceInit:
 
 
 class TestEdgeCaseTraces:
-    """Degenerate traces must round-trip and replay identically on all
-    three replay paths (empty, store-only, single-event)."""
+    """Degenerate traces (empty, store-only, single-event) must round-trip
+    and replay identically as a Trace, as a PackedTrace and through the
+    object reference."""
 
     @staticmethod
     def _edge_traces():
@@ -210,14 +211,11 @@ class TestEdgeCaseTraces:
 
     @pytest.mark.parametrize("name", ["empty", "store_only", "single_load",
                                       "single_store"])
-    def test_replays_identically_on_all_paths(self, name, monkeypatch):
+    def test_replays_identically_on_all_paths(self, name):
         from repro import Mode, TraceSimulator
+        from tests.sim.reference import object_replay
 
         trace = self._edge_traces()[name]
-        results = {}
-        for path in ("object", "packed", "vector"):
-            monkeypatch.setenv("REPRO_REPLAY_KERNEL", path)
-            sim = TraceSimulator(Mode.LVA)
-            results[path] = sim.replay(trace.pack())
-        assert results["packed"] == results["object"]
-        assert results["vector"] == results["object"]
+        reference = object_replay(TraceSimulator(Mode.LVA), trace)
+        assert TraceSimulator(Mode.LVA).replay(trace) == reference
+        assert TraceSimulator(Mode.LVA).replay(trace.pack()) == reference

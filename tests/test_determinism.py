@@ -63,7 +63,7 @@ class TestPhase2Determinism:
 
 class TestExperimentDeterminism:
     def test_driver_reproducible(self):
-        first = fig12.run(small=True, seed=3)
+        first = fig12.DRIVER.render(small=True, seed=3)
         common.reset_caches()
-        second = fig12.run(small=True, seed=3)
+        second = fig12.DRIVER.render(small=True, seed=3)
         assert first.series == second.series

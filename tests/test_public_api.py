@@ -155,14 +155,12 @@ class TestFacade:
         assert result.trace is not None and len(result.trace) > 0
 
     def test_run_experiment_matches_driver(self):
-        import warnings
-
         from repro.api import run_experiment
+        from repro.experiments import fig13
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            result = run_experiment("fig13", small=True)
+        result = run_experiment("fig13", small=True)
         assert result.series
+        assert result.series == fig13.DRIVER.render(small=True).series
 
     def test_run_experiment_unknown_name(self):
         from repro.api import run_experiment
