@@ -89,21 +89,25 @@ class AnalysisConfig:
         "repro.sim",
         "repro.prefetch",
         "repro.predictors",
+        "repro.core.approximator",
     )
     hot_methods: Tuple[str, ...] = (
         "SetAssociativeCache.access",
         "SetAssociativeCache.probe",
-        "SetAssociativeCache._probe",
         "SetAssociativeCache.contains",
         "SetAssociativeCache._find",
         "SetAssociativeCache.fill",
         "SetAssociativeCache.invalidate",
+        "SetAssociativeCache.invalidate_range",
+        "MemoryFrontend.store_many",
         "TraceSimulator._serve_load",
         "TraceSimulator._serve_lva_miss",
         "TraceSimulator._serve_generic_miss",
         "TraceSimulator._serve_store",
         "TraceSimulator._serve_store_streaming",
-        "TraceSimulator._tick_value_delay",
+        "TraceSimulator._serve_streaming_span",
+        "DelayQueue.push",
+        "DelayQueue.due",
         "TraceSimulator._train",
         "TraceSimulator._fetch",
         "TwoLevelHierarchy.load",

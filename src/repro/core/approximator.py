@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 import math
+import sys
 
 from repro.core.config import ApproximatorConfig
 from repro.core.confidence import confidence_update_steps
@@ -33,8 +34,8 @@ from repro.telemetry.registry import safe_ratio
 
 Number = Union[int, float]
 
-#: Shared empty result for :meth:`DelayQueue.tick` when nothing is due.
-_NOTHING_DUE: Tuple = ()
+#: :attr:`DelayQueue.next_due` of an empty queue: no load ordinal reaches it.
+NEVER_DUE = sys.maxsize
 
 
 @dataclass(slots=True)
@@ -70,7 +71,7 @@ class ApproximationDecision:
     token: Optional[TrainToken]
 
 
-@dataclass
+@dataclass(slots=True)
 class ApproximatorStats:
     """Event counters exposed for the evaluation and for energy accounting."""
 
@@ -96,45 +97,50 @@ class ApproximatorStats:
 class DelayQueue:
     """Defers training by the value delay, measured in load instructions.
 
-    The driving simulator calls :meth:`tick` once per load instruction and
-    trains the approximator with whatever items have become due. A delay of
-    zero makes items due on the very next tick.
+    Time is the driving simulator's load ordinal (``stats.loads``: the
+    n-th load served is ordinal n). :meth:`push` files a training at
+    ``now + delay``; :meth:`due` pops the trainings filed at or before
+    ``now``. :attr:`next_due` is the head's ordinal (:data:`NEVER_DUE`
+    when empty), so a simulator pays one integer compare per load and
+    calls :meth:`due` only once ``now >= next_due``.
+
+    The simulator checks at the start of each load and pushes later in
+    the same load, so a training pushed during load ``n`` trains at the
+    start of load ``max(n + 1, n + delay)``: a delay of zero makes it due
+    on the very next load, like a delay of one.
     """
 
-    __slots__ = ("_delay", "_clock", "_pending")
+    __slots__ = ("_delay", "_pending", "next_due")
 
     def __init__(self, delay: int) -> None:
         self._delay = delay
-        self._clock = 0
         self._pending: Deque[Tuple[int, TrainToken, Number]] = deque()
+        self.next_due = NEVER_DUE
 
-    def push(self, token: TrainToken, actual: Number) -> None:
-        """Schedule ``(token, actual)`` to become due after the delay."""
-        self._pending.append((self._clock + self._delay, token, actual))
-
-    def tick(self) -> Sequence[Tuple[TrainToken, Number]]:
-        """Advance one load instruction; return the trainings now due.
-
-        The common case — nothing pending, or nothing due yet — returns a
-        shared empty tuple, so ticking once per load instruction allocates
-        nothing on hit-dominated or technique-free paths.
-        """
-        clock = self._clock + 1
-        self._clock = clock
+    def push(self, now: int, token: TrainToken, actual: Number) -> None:
+        """File ``(token, actual)`` at load ordinal ``now + delay``."""
+        due = now + self._delay
         pending = self._pending
-        if not pending or pending[0][0] > clock:
-            return _NOTHING_DUE
-        due: List[Tuple[TrainToken, Number]] = []
-        while pending and pending[0][0] <= clock:
+        if not pending:
+            self.next_due = due
+        pending.append((due, token, actual))
+
+    def due(self, now: int) -> List[Tuple[TrainToken, Number]]:
+        """Pop the trainings filed at or before ordinal ``now``, oldest first."""
+        pending = self._pending
+        ready: List[Tuple[TrainToken, Number]] = []
+        while pending and pending[0][0] <= now:
             _, token, actual = pending.popleft()
-            due.append((token, actual))
-        return due
+            ready.append((token, actual))
+        self.next_due = pending[0][0] if pending else NEVER_DUE
+        return ready
 
     def drain(self) -> List[Tuple[TrainToken, Number]]:
         """Return every pending training (end-of-run flush)."""
-        due = [(token, actual) for _, token, actual in self._pending]
+        ready = [(token, actual) for _, token, actual in self._pending]
         self._pending.clear()
-        return due
+        self.next_due = NEVER_DUE
+        return ready
 
     def __len__(self) -> int:
         return len(self._pending)

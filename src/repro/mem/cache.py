@@ -76,11 +76,6 @@ class AccessResult:
 _HIT = AccessResult(hit=True)
 _MISS = AccessResult(hit=False)
 
-#: Internal probe outcomes (prefetch hits are rare enough to allocate for).
-_PROBE_MISS = 0
-_PROBE_HIT = 1
-_PROBE_PREFETCH_HIT = 2
-
 
 @dataclass(slots=True)
 class CacheStats:
@@ -173,11 +168,11 @@ class SetAssociativeCache:
         Plain hits and misses return shared :class:`AccessResult`
         singletons (no allocation); callers must not mutate results.
         """
-        outcome = self._probe(addr, is_write)
-        if outcome == _PROBE_HIT:
-            return _HIT
-        if outcome == _PROBE_MISS:
+        useful = self.stats.useful_prefetches
+        if not self.probe(addr, is_write):
             return _MISS
+        if self.stats.useful_prefetches == useful:
+            return _HIT
         return AccessResult(hit=True, prefetch_hit=True)
 
     def probe(self, addr: int, is_write: bool = False) -> bool:
@@ -187,9 +182,6 @@ class SetAssociativeCache:
         The simulators probe the L1 on every load instruction and only ever
         look at ``.hit`` — this is the hottest path in the whole library.
         """
-        return self._probe(addr, is_write) != _PROBE_MISS
-
-    def _probe(self, addr: int, is_write: bool) -> int:
         clock = self._clock + 1
         self._clock = clock
         stats = self.stats
@@ -200,7 +192,7 @@ class SetAssociativeCache:
         )
         if block is None:
             stats.misses += 1
-            return _PROBE_MISS
+            return False
         stats.hits += 1
         if is_write:
             block.dirty = True
@@ -211,8 +203,7 @@ class SetAssociativeCache:
         if block.prefetched:
             stats.useful_prefetches += 1
             block.prefetched = False
-            return _PROBE_PREFETCH_HIT
-        return _PROBE_HIT
+        return True
 
     def contains(self, addr: int) -> bool:
         """Non-destructive presence probe (no stats, no recency update)."""
@@ -255,6 +246,26 @@ class SetAssociativeCache:
         del self._sets[index][tag]
         self.stats.invalidations += 1
         return True
+
+    def invalidate_range(self, start: int, stop: int) -> int:
+        """Drop every block holding a byte of ``[start, stop)``; returns
+        how many were resident.
+
+        The same as :meth:`invalidate` on one address of each block, in
+        address order, with one set lookup per block.
+        """
+        if stop <= start:
+            return 0
+        offset_bits = self._offset_bits
+        index_mask = self._index_mask
+        index_bits = self._index_bits
+        sets = self._sets
+        dropped = 0
+        for block in range(start >> offset_bits, ((stop - 1) >> offset_bits) + 1):
+            if sets[block & index_mask].pop(block >> index_bits, None) is not None:
+                dropped += 1
+        self.stats.invalidations += dropped
+        return dropped
 
     def _recompose(self, index: int, tag: int) -> int:
         return ((tag << self._index_bits) | index) << self._offset_bits

@@ -1,8 +1,8 @@
 """The memory front-end workloads program against.
 
 Workloads allocate named regions from an :class:`AddressSpace`, then issue
-``store`` / ``load`` / ``load_approx`` / ``advance`` calls against a
-:class:`MemoryFrontend`. Two implementations exist:
+``store`` / ``store_many`` / ``load`` / ``load_approx`` / ``advance`` calls
+against a :class:`MemoryFrontend`. Two implementations exist:
 
 * :class:`PreciseMemory` — a functional store with no microarchitecture;
   used to produce the reference (precise) output and instruction counts.
@@ -18,7 +18,7 @@ outputs with the workload's error metric.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Sequence, Union
 
 from repro.errors import AddressError, ConfigurationError
 from repro.sim.trace import TraceRecorder
@@ -147,15 +147,44 @@ class MemoryFrontend(abc.ABC):
             else:
                 self.recorder.on_advance(self._tid, 1)
 
+    def store_many(self, region: Region, values: Sequence[Number]) -> None:
+        """Stream ``values`` into ``region`` from element 0, like a DMA write.
+
+        Exactly ``store(region.addr(i), values[i], streaming=True)`` for
+        each ``i`` in order, except that one bounds check covers the whole
+        span: more values than the region holds raise
+        :class:`AddressError` before anything is written. Values are stored
+        as given, so pass plain Python numbers (``array.tolist()``), as
+        ``store`` callers do.
+        """
+        count = len(values)
+        if not count:
+            return
+        region.addr(count - 1)  # raises before anything is written
+        first = region.base
+        itemsize = region.itemsize
+        addrs = range(first, first + count * itemsize, itemsize)
+        self.instructions += count
+        self.values.update(zip(addrs, values))
+        self._serve_streaming_span(first, count, itemsize)
+        recorder = self.recorder
+        if recorder is not None:
+            if getattr(recorder, "record_stores", False):
+                tid = self._tid
+                for addr in addrs:
+                    recorder.on_store(tid, addr)
+            else:
+                recorder.on_advance(self._tid, count)
+
     def load(self, pc: int, addr: int) -> Number:
         """A precise load — never approximated, always returns the true value
         (but still exercises the cache in simulating front-ends)."""
-        return self._issue(pc, addr, approximable=False, is_float=True)
+        return self._issue(pc, addr, False, True)
 
     def load_approx(self, pc: int, addr: int, is_float: bool = True) -> Number:
         """A load annotated approximate (the EnerJ-style ISA hint of
         Section IV); simulating front-ends may clobber its value."""
-        return self._issue(pc, addr, approximable=True, is_float=is_float)
+        return self._issue(pc, addr, True, is_float)
 
     # -- shared mechanics ----------------------------------------------- #
 
@@ -184,6 +213,12 @@ class MemoryFrontend(abc.ABC):
     def _serve_store_streaming(self, addr: int) -> None:
         """Model a non-temporal store (default: same as a plain store)."""
         self._serve_store(addr)
+
+    def _serve_streaming_span(self, first: int, count: int, itemsize: int) -> None:
+        """Model ``count`` non-temporal stores at ``first``, ``first +
+        itemsize``, ... (default: one :meth:`_serve_store_streaming` each)."""
+        for addr in range(first, first + count * itemsize, itemsize):
+            self._serve_store_streaming(addr)
 
 
 class PreciseMemory(MemoryFrontend):

@@ -79,7 +79,6 @@ class TraceSimulator(MemoryFrontend):
         #: Registry name of the technique driven on misses (None = none).
         self.predictor_name: Optional[str] = None
         self.prefetcher: Optional[Prefetcher] = None
-        self._delay: Optional[DelayQueue] = None
         # Injected memory faults (None in the overwhelmingly common clean
         # case; the miss path pays one is-None test). Built per simulator
         # so the seeded fault pattern is deterministic per run.
@@ -89,6 +88,10 @@ class TraceSimulator(MemoryFrontend):
         self._tel = sim_hook()
 
         config = approximator_config or ApproximatorConfig()
+        # Trainings wait here for the value delay. Modes without a
+        # technique never push, so the queue stays empty and a load pays
+        # the same one compare against ``next_due`` in every mode.
+        self._delay = DelayQueue(config.value_delay)
         if mode in (Mode.LVA, Mode.LVP, Mode.PREDICTOR):
             # All technique modes resolve through the registry. The fixed
             # modes pin their historical names; PREDICTOR honours the env
@@ -104,7 +107,6 @@ class TraceSimulator(MemoryFrontend):
                 self.predictor = technique
             else:
                 self.generic_predictor = technique
-            self._delay = DelayQueue(config.value_delay)
         elif mode is Mode.PREFETCH:
             self.prefetcher = prefetcher or GHBPrefetcher(
                 degree=prefetch_degree, block_bytes=l1_config.block_bytes
@@ -119,20 +121,26 @@ class TraceSimulator(MemoryFrontend):
     def _serve_load(
         self, pc: int, addr: int, actual: Number, approximable: bool, is_float: bool
     ) -> Number:
-        self.stats.loads += 1
-        self.stats.instructions = self.instructions
+        stats = self.stats
+        loads = stats.loads + 1
+        stats.loads = loads
         if approximable:
-            self.stats.approx_loads += 1
-            self.stats.static_approx_pcs.add(pc)
+            stats.approx_loads += 1
+            stats.static_approx_pcs.add(pc)
         if self._tel is not None:
-            self._tel.on_load(self.stats)
+            # stats.instructions is otherwise written only by finish().
+            stats.instructions = self.instructions
+            self._tel.on_load(stats)
 
-        self._tick_value_delay()
+        # Value-delayed trainings fall due by load ordinal (DelayQueue).
+        if loads >= self._delay.next_due:
+            for token, value in self._delay.due(loads):
+                self._train(token, value)
 
         if self.l1.probe(addr):
             return actual
 
-        self.stats.raw_misses += 1
+        stats.raw_misses += 1
 
         # On a miss the value comes from the memory hierarchy; an injected
         # fault model may corrupt it in flight (silent data corruption).
@@ -161,7 +169,7 @@ class TraceSimulator(MemoryFrontend):
             if self.predictor is not None:
                 decision = self.predictor.on_miss(pc, is_float)
                 if self._fetch(addr):  # LVP must always validate: 1:1 fetches
-                    self._delay.push(decision.token, actual)
+                    self._delay.push(self.stats.loads, decision.token, actual)
                 return actual  # rollbacks restore precision
 
             if self.generic_predictor is not None:
@@ -179,7 +187,7 @@ class TraceSimulator(MemoryFrontend):
         if decision.fetch:
             # A dropped fetch means the block never arrives: no training.
             if self._fetch(addr):
-                self._delay.push(decision.token, actual)
+                self._delay.push(self.stats.loads, decision.token, actual)
         else:
             self.stats.fetches_avoided += 1
         if decision.approximated:
@@ -203,7 +211,7 @@ class TraceSimulator(MemoryFrontend):
         if decision.fetch:
             # A dropped fetch means the block never arrives: no training.
             if self._fetch(addr) and decision.token is not None:
-                self._delay.push(decision.token, actual)
+                self._delay.push(self.stats.loads, decision.token, actual)
         else:
             self.stats.fetches_avoided += 1
         if decision.value is not None:
@@ -224,15 +232,20 @@ class TraceSimulator(MemoryFrontend):
         # Non-temporal/DMA write: the cached copy (if any) is stale now.
         self.l1.invalidate(addr)
 
+    def _serve_streaming_span(self, first: int, count: int, itemsize: int) -> None:
+        self.stats.stores += count
+        # Streaming stores touch neither the cache clock nor recency, so
+        # only the set of blocks matters. With elements no larger than a
+        # block, their first bytes land in every block of the span.
+        if itemsize <= self.l1.config.block_bytes:
+            self.l1.invalidate_range(first, first + (count - 1) * itemsize + 1)
+            return
+        for addr in range(first, first + count * itemsize, itemsize):
+            self.l1.invalidate(addr)
+
     # ------------------------------------------------------------------ #
     # Internals                                                          #
     # ------------------------------------------------------------------ #
-
-    def _tick_value_delay(self) -> None:
-        if self._delay is None:
-            return
-        for token, actual in self._delay.tick():
-            self._train(token, actual)
 
     def _train(self, token, actual: Number) -> None:
         if self.approximator is not None:
@@ -301,9 +314,8 @@ class TraceSimulator(MemoryFrontend):
         value-delayed trainings are applied so LVP coverage and LVA
         confidence are fully accounted.
         """
-        if self._delay is not None:
-            for token, actual in self._delay.drain():
-                self._train(token, actual)
+        for token, actual in self._delay.drain():
+            self._train(token, actual)
         self.stats.instructions = self.instructions
         if self._tel is not None:
             self._tel.finish(self.stats)

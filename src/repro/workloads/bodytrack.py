@@ -147,15 +147,13 @@ class Bodytrack(Workload):
             for c in range(cameras):
                 image = frames[t][c]
                 edges = np.abs(np.diff(image, axis=1, prepend=image[:, :1]))
-                flat = image.ravel()
-                flat_edges = edges.ravel()
-                for idx in range(flat.size):
-                    # Camera frames arrive by DMA: streaming stores that
-                    # invalidate any stale cached copy.
-                    mem.store(regions[c].addr(idx), int(flat[idx]), streaming=True)
-                    mem.store(
-                        edge_regions[c].addr(idx), int(flat_edges[idx]), streaming=True
-                    )
+                # Camera frames arrive by DMA: streaming stores that
+                # invalidate any stale cached copy. They touch no recency
+                # and no load runs in between, so storing the whole image
+                # and then the whole edge map leaves the same cache state
+                # as interleaving them pixel by pixel.
+                mem.store_many(regions[c], image.ravel().tolist())
+                mem.store_many(edge_regions[c], edges.ravel().tolist())
 
             for layer in range(layers):
                 weights = np.zeros(n_particles)

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import textwrap
+from pathlib import Path
 
 from repro.analysis import check_source
+from repro.analysis.config import DEFAULT_CONFIG
+from repro.analysis.engine import discover_files, module_name_for
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _hits(source: str, module: str = "repro.mem.snippet"):
@@ -163,3 +169,23 @@ class TestHotMethodAllocations:
             )
             == []
         )
+
+
+class TestDefaultHotMethods:
+    def test_every_entry_names_a_method_the_rule_checks(self):
+        # LVA003 skips an entry that matches no method, so a renamed or
+        # deleted hot method would silently drop out of the check. Each
+        # entry must name a method of a class in a hot-path module.
+        defined = set()
+        for path, _ in discover_files([str(SRC)]):
+            if not DEFAULT_CONFIG.is_hotpath_module(module_name_for(path)):
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for cls in ast.walk(tree):
+                if isinstance(cls, ast.ClassDef):
+                    defined.update(
+                        f"{cls.name}.{node.name}"
+                        for node in cls.body
+                        if isinstance(node, ast.FunctionDef)
+                    )
+        assert sorted(set(DEFAULT_CONFIG.hot_methods) - defined) == []

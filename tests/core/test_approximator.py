@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.approximator import DelayQueue, LoadValueApproximator
+from repro.core.approximator import NEVER_DUE, DelayQueue, LoadValueApproximator
 from repro.core.config import INFINITE_WINDOW, ApproximatorConfig
 
 PC = 0x4000
@@ -198,36 +198,57 @@ class TestStats:
 
 
 class TestDelayQueue:
+    """Trainings are filed and fall due by load ordinal."""
+
     def test_items_due_after_delay_ticks(self):
         queue = DelayQueue(2)
-        queue.push("token", 1.0)
-        assert list(queue.tick()) == []  # shared empty tuple: no allocation
-        assert list(queue.tick()) == [("token", 1.0)]
+        queue.push(7, "token", 1.0)
+        assert queue.next_due == 9
+        assert queue.due(8) == []
+        assert queue.due(9) == [("token", 1.0)]
+        assert queue.next_due == NEVER_DUE
 
     def test_zero_delay_due_next_tick(self):
+        # Filed at the ordinal it was pushed at; the simulator checks
+        # before serving each load, so it trains on the next one.
         queue = DelayQueue(0)
-        queue.push("t", 5)
-        assert queue.tick() == [("t", 5)]
+        queue.push(4, "t", 5)
+        assert queue.next_due == 4
+        assert queue.due(5) == [("t", 5)]
 
     def test_fifo_order_preserved(self):
         queue = DelayQueue(1)
-        queue.push("a", 1)
-        queue.push("b", 2)
-        assert [t for t, _ in queue.tick()] == ["a", "b"]
+        queue.push(3, "a", 1)
+        queue.push(3, "b", 2)
+        queue.push(4, "c", 3)
+        assert [t for t, _ in queue.due(4)] == ["a", "b"]
+        assert queue.next_due == 5
+        assert [t for t, _ in queue.due(5)] == ["c"]
 
     def test_drain_returns_everything(self):
         queue = DelayQueue(10)
         for i in range(5):
-            queue.push(f"t{i}", i)
+            queue.push(i, f"t{i}", i)
         assert len(queue.drain()) == 5
         assert len(queue) == 0
+        assert queue.next_due == NEVER_DUE
 
-    @given(st.integers(0, 16), st.integers(1, 30))
-    def test_every_item_eventually_due(self, delay, items):
+    @given(st.integers(0, 16), st.lists(st.booleans(), min_size=1, max_size=30))
+    def test_every_item_eventually_due(self, delay, pushes):
+        # Drive the queue as the simulator does: at each load ordinal,
+        # train what is due (one compare against next_due), then maybe
+        # push. Each item trains at the first check on or after
+        # max(pushed + 1, pushed + delay), in push order.
         queue = DelayQueue(delay)
-        for i in range(items):
-            queue.push(i, i)
-        received = []
-        for _ in range(delay + items + 1):
-            received.extend(queue.tick())
-        assert len(received) == items
+        trained = []
+        expected = []
+        for now in range(1, len(pushes) + delay + 2):
+            if now >= queue.next_due:
+                trained.extend((item, now) for item, _ in queue.due(now))
+            if now <= len(pushes) and pushes[now - 1]:
+                queue.push(now, now, float(now))
+                expected.append((now, max(now + 1, now + delay)))
+            waiting = expected[len(trained):]
+            assert queue.next_due == (waiting[0][0] + delay if waiting else NEVER_DUE)
+        assert trained == expected
+        assert len(queue) == 0
