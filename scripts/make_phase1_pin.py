@@ -30,7 +30,7 @@ from repro import envspec
 from repro.core.config import ApproximatorConfig
 from repro.experiments.common import BASELINE_WORKLOADS
 from repro.faults import no_memory_faults
-from repro.sim.trace import TRACE_COLUMNS, TraceRecorder
+from repro.sim.trace import TRACE_COLUMNS, PackedTrace, TraceRecorder
 from repro.sim.tracesim import Mode, TraceSimulator
 from repro.workloads import get_workload
 
@@ -103,8 +103,7 @@ def _l1_digest(sim: TraceSimulator) -> str:
     return _sha("\n".join(lines))
 
 
-def _trace_digest(recorder: TraceRecorder) -> str:
-    packed = recorder.trace.pack()
+def _trace_digest(packed: PackedTrace) -> str:
     digest = hashlib.sha256()
     for name, dtype in TRACE_COLUMNS:
         digest.update(f"{name}:{dtype}:".encode())
@@ -137,18 +136,22 @@ def run_entry(key: str) -> dict:
             "output": _sha(repr(output)),
             "values": _values_digest(sim.values),
             "l1": _l1_digest(sim),
-            "trace": _trace_digest(recorder),
+            "trace": _trace_digest(recorder.trace.pack()),
         },
     }
 
 
 def _flatten(data: object, prefix: str = "") -> Dict[str, object]:
     if isinstance(data, dict):
-        flat: Dict[str, object] = {}
-        for name, value in data.items():
-            flat.update(_flatten(value, f"{prefix}.{name}" if prefix else name))
-        return flat
-    return {prefix: data}
+        items = data.items()
+    elif isinstance(data, list):
+        items = ((str(index), value) for index, value in enumerate(data))
+    else:
+        return {prefix: data}
+    flat: Dict[str, object] = {}
+    for name, value in items:
+        flat.update(_flatten(value, f"{prefix}.{name}" if prefix else name))
+    return flat
 
 
 def diff(old: dict, new: dict) -> List[str]:

@@ -90,6 +90,9 @@ class AnalysisConfig:
         "repro.prefetch",
         "repro.predictors",
         "repro.core.approximator",
+        "repro.cpu.core",
+        "repro.noc.network",
+        "repro.noc.router",
     )
     hot_methods: Tuple[str, ...] = (
         "SetAssociativeCache.access",
@@ -115,6 +118,11 @@ class AnalysisConfig:
         "TwoLevelHierarchy._fill_l1",
         "MSHRFile.lookup",
         "MSHRFile.merge",
+        "CoreTimingModel.issue_load",
+        "CoreTimingModel.advance",
+        "CoreTimingModel._enforce_rob",
+        "MeshNetwork.send",
+        "Link.transfer",
     )
     worker_modules: Tuple[str, ...] = ("repro.experiments.sweep",)
     worker_entry_patterns: Tuple[str, ...] = ("_run_", "_worker", "_pool_worker")

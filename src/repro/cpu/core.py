@@ -28,7 +28,7 @@ from repro.telemetry.registry import safe_ratio
 from repro.errors import ConfigurationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoreConfig:
     """Core parameters (Table II: 4-wide OoO, 32-entry ROB, 2 GHz)."""
 
@@ -45,7 +45,7 @@ class CoreConfig:
             raise ConfigurationError("frequency must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class CoreStats:
     """Per-core timing counters."""
 
@@ -66,38 +66,38 @@ class CoreTimingModel:
     def __init__(self, config: CoreConfig = CoreConfig()) -> None:
         self.config = config
         self.stats = CoreStats()
-        self._clock = 0.0
+        #: Current core time in cycles.
+        self.clock = 0.0
         # (completion_time, instruction_index_at_issue) of incomplete misses,
         # oldest first.
         self._outstanding: Deque[Tuple[float, int]] = deque()
 
-    @property
-    def clock(self) -> float:
-        """Current core time in cycles."""
-        return self._clock
-
-    def _drain_completed(self) -> None:
-        while self._outstanding and self._outstanding[0][0] <= self._clock:
-            self._outstanding.popleft()
-
     def _enforce_rob(self) -> None:
-        """Stall when the ROB is full behind the oldest incomplete miss."""
-        self._drain_completed()
-        while self._outstanding:
-            completion, issue_index = self._outstanding[0]
-            in_flight_window = self.stats.instructions - issue_index
-            if in_flight_window < self.config.rob_entries:
-                break
-            stall_until = completion
-            if stall_until > self._clock:
-                self.stats.stall_cycles += stall_until - self._clock
-                self._clock = stall_until
-            self._outstanding.popleft()
-            self._drain_completed()
+        """Stall when the ROB is full behind the oldest incomplete miss.
+
+        The oldest miss leaves the window once it has completed; while it
+        is incomplete and ``rob_entries`` younger instructions have issued
+        behind it, the core stalls until it completes.
+        """
+        outstanding = self._outstanding
+        while outstanding:
+            completion, issue_index = outstanding[0]
+            if completion > self.clock:
+                if self.stats.instructions - issue_index < self.config.rob_entries:
+                    break
+                self.stats.stall_cycles += completion - self.clock
+                self.clock = completion
+            outstanding.popleft()
 
     def advance(self, instructions: int) -> None:
         """Execute ``instructions`` non-miss instructions."""
         if instructions <= 0:
+            return
+        if not self._outstanding:
+            # An empty window never stalls: the loop below would run one
+            # chunk of the whole slug.
+            self.stats.instructions += instructions
+            self.clock += instructions / self.config.width
             return
         # Execute in ROB-sized chunks so a full window stalls mid-stream
         # rather than letting an unbounded slug of work slide past a miss.
@@ -110,7 +110,7 @@ class CoreTimingModel:
                 room = self.config.rob_entries - (self.stats.instructions - issue_index)
                 chunk = min(remaining, max(room, 1))
             self.stats.instructions += chunk
-            self._clock += chunk / self.config.width
+            self.clock += chunk / self.config.width
             remaining -= chunk
 
     def issue_load(self, latency: int, blocking: bool = True) -> None:
@@ -123,14 +123,15 @@ class CoreTimingModel:
                 approximate value immediately and the (optional) fetch is
                 off the critical path, so nothing enters the window.
         """
-        self._enforce_rob()
+        if self._outstanding:
+            self._enforce_rob()
         self.stats.instructions += 1
-        self._clock += 1 / self.config.width
+        self.clock += 1 / self.config.width
         if not blocking or latency <= 0:
             return
         self.stats.load_misses += 1
         self.stats.total_miss_latency += latency
-        self._outstanding.append((self._clock + latency, self.stats.instructions))
+        self._outstanding.append((self.clock + latency, self.stats.instructions))
 
     def finish(self) -> float:
         """Drain outstanding misses; returns the final cycle count.
@@ -140,14 +141,14 @@ class CoreTimingModel:
         """
         if self._outstanding:
             last_completion = max(completion for completion, _ in self._outstanding)
-            if last_completion > self._clock:
-                self.stats.stall_cycles += last_completion - self._clock
-                self._clock = last_completion
+            if last_completion > self.clock:
+                self.stats.stall_cycles += last_completion - self.clock
+                self.clock = last_completion
             self._outstanding.clear()
-        return self._clock
+        return self.clock
 
     def reset(self) -> None:
         """Zero the clock, the window and the statistics."""
-        self._clock = 0.0
+        self.clock = 0.0
         self._outstanding.clear()
         self.stats = CoreStats()

@@ -20,6 +20,7 @@ observes ~1 load on average).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -86,28 +87,38 @@ class FullSystemResult:
 
 
 class _PendingTraining:
-    """Per-core queue of in-flight training fetches, ordered by completion."""
+    """Per-core queue of in-flight training fetches, ordered by completion.
 
-    __slots__ = ("_heap", "_seq")
+    :attr:`next_due` is the head's completion time (``inf`` when empty),
+    so the replay loop pays one float compare per load and calls
+    :meth:`due` only once the core clock reaches it.
+    """
+
+    __slots__ = ("_heap", "_seq", "next_due")
 
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, TrainToken, Number]] = []
         self._seq = 0
+        self.next_due = math.inf
 
     def push(self, completion: float, token: TrainToken, value: Number) -> None:
         heapq.heappush(self._heap, (completion, self._seq, token, value))
         self._seq += 1
+        self.next_due = self._heap[0][0]
 
     def due(self, now: float) -> List[Tuple[TrainToken, Number]]:
+        heap = self._heap
         ready = []
-        while self._heap and self._heap[0][0] <= now:
-            _, _, token, value = heapq.heappop(self._heap)
+        while heap and heap[0][0] <= now:
+            _, _, token, value = heapq.heappop(heap)
             ready.append((token, value))
+        self.next_due = heap[0][0] if heap else math.inf
         return ready
 
     def drain(self) -> List[Tuple[TrainToken, Number]]:
         ready = [(token, value) for _, _, token, value in self._heap]
         self._heap.clear()
+        self.next_due = math.inf
         return ready
 
 
@@ -155,6 +166,10 @@ class FullSystemSimulator:
         self.mshr_entries = 8
         self.training_fetch_budget = 4
         self.dropped_trainings = 0
+        # Per-fetch constants, resolved once rather than on every miss.
+        self._block_shift = cfg.l1.block_bytes.bit_length() - 1
+        self._control_flits = cfg.noc.control_flits
+        self._data_flits = cfg.noc.data_flits(cfg.l1.block_bytes)
         # Counters.
         self._loads = 0
         self._raw_misses = 0
@@ -171,8 +186,7 @@ class FullSystemSimulator:
 
     def _bank_of(self, addr: int) -> int:
         """Home L2 bank (mesh node) of a block: low block-address interleave."""
-        block = addr >> (self.config.l1.block_bytes.bit_length() - 1)
-        return block % self.config.num_cores
+        return (addr >> self._block_shift) % self.config.num_cores
 
     # ------------------------------------------------------------------ #
     # Miss servicing                                                      #
@@ -207,11 +221,7 @@ class FullSystemSimulator:
         self._fetches += 1
         bank = self._bank_of(addr)
         request = self.noc.send(
-            core_id,
-            bank,
-            int(departure),
-            self.config.noc.control_flits,
-            low_priority=training,
+            core_id, bank, int(departure), self._control_flits, low_priority=training
         )
         self._l2_accesses += 1
         service_done = request.arrival + self.config.l2.latency
@@ -223,14 +233,13 @@ class FullSystemSimulator:
                 service_done += self.config.memory_latency
             self.l2.fill(addr)
         reply = self.noc.send(
-            bank,
-            core_id,
-            int(service_done),
-            self.config.noc.data_flits(self.config.l1.block_bytes),
-            low_priority=training,
+            bank, core_id, int(service_done), self._data_flits, low_priority=training
         )
-        self.directory.read(core_id, addr)
-        self.l1s[core_id].fill(addr)
+        l1 = self.l1s[core_id]
+        # The directory keys blocks by their aligned address, as the store
+        # path does, so a store sees the sharers any load of its block made.
+        self.directory.read(core_id, l1.block_address(addr))
+        l1.fill(addr)
         heapq.heappush(pool, float(reply.arrival))
         return float(reply.arrival)
 
@@ -260,7 +269,7 @@ class FullSystemSimulator:
                     # One invalidation control message per remote sharer.
                     self.noc.send(
                         self._bank_of(addr), target,
-                        int(core.clock), self.config.noc.control_flits,
+                        int(core.clock), self._control_flits,
                     )
         if hit:
             self.l1s[core_id].probe(addr, is_write=True)
@@ -268,7 +277,7 @@ class FullSystemSimulator:
             # Write-through to the home bank: a control-sized message.
             self.noc.send(
                 core_id, self._bank_of(addr),
-                int(core.clock), self.config.noc.control_flits,
+                int(core.clock), self._control_flits,
             )
             self.directory.evict(core_id, block)  # no allocation performed
         core.advance(1)
@@ -282,15 +291,26 @@ class FullSystemSimulator:
         is_float: bool,
         approximable: bool,
     ) -> None:
-        core = self.cores[core_id]
+        """One load, step by step (:meth:`replay_events`' path; :meth:`run`
+        inlines the hit half)."""
         self._apply_due_trainings(core_id)
         self._loads += 1
+        if self.l1s[core_id].probe(addr):
+            self.cores[core_id].issue_load(0)
+        else:
+            self._process_load_miss(core_id, pc, addr, value, is_float, approximable)
 
-        l1 = self.l1s[core_id]
-        if l1.probe(addr):
-            core.issue_load(0)
-            return
-
+    def _process_load_miss(
+        self,
+        core_id: int,
+        pc: int,
+        addr: int,
+        value: Number,
+        is_float: bool,
+        approximable: bool,
+    ) -> None:
+        """An L1 load miss: approximate it, or fetch it through the NoC."""
+        core = self.cores[core_id]
         self._raw_misses += 1
         if self.approximators is not None and approximable:
             decision = self.approximators[core_id].on_miss(pc, is_float)
@@ -331,50 +351,82 @@ class FullSystemSimulator:
     def run(self, trace: Union[Trace, PackedTrace]) -> FullSystemResult:
         """Replay ``trace`` and return the phase-2 metrics.
 
-        The hot loop consumes the packed (structure-of-arrays) form:
-        each core's rows are gathered columnarily (``select`` +
-        ``event_tuples`` over ``per_core_indices``) into a queue of
-        plain tuples, and the scheduling loop then indexes those queues
-        — no per-event dataclass allocation or attribute dispatch.
-        ``Trace`` inputs are packed first; the result is bit-identical
-        to :meth:`replay_events` on the same events.
+        Each core's rows are gathered columnarily (``select`` +
+        ``event_tuples`` over ``per_core_indices``) into a queue of plain
+        tuples. The scheduler is a heap of ``(clock, rank, core_id)``,
+        where ``rank`` is the core's position in ``per_core_indices``
+        order (the first appearance of its first thread). The popped core
+        is the one :meth:`replay_events`' ``min()`` picks, ties included;
+        it keeps stepping while it would still be picked, which is exact
+        because a step moves no other core's clock. ``Trace`` inputs are
+        packed first; the result is bit-identical to :meth:`replay_events`
+        on the same events.
         """
         packed = trace.pack() if isinstance(trace, Trace) else trace
         if not len(packed):
             raise SimulationError("cannot replay an empty trace")
-        queues = {
-            core_id: packed.select(rows).event_tuples()
-            for core_id, rows in packed.per_core_indices(self.config.num_cores).items()
-        }
-        cursors = {core_id: 0 for core_id in queues}
-        gap_pending = {core_id: True for core_id in queues}
         cores = self.cores
+        heap: List[Tuple[float, int, int]] = []
+        queues: List[List[tuple]] = []
+        for rank, (core_id, rows) in enumerate(
+            packed.per_core_indices(self.config.num_cores).items()
+        ):
+            heap.append((cores[core_id].clock, rank, core_id))
+            queues.append(packed.select(rows).event_tuples())
+        heapq.heapify(heap)
+        cursors = [0] * len(queues)
+        # Whether the event at a core's cursor still owes its gap.
+        gap_pending = [True] * len(queues)
+        loads = 0
 
         # Always advance the core that is furthest behind in time, so NoC
         # link reservations happen in near-global time order. Gap execution
         # and the load itself are separate scheduling steps: otherwise a
         # long gap would let one core stamp a packet far in the future and
         # spuriously queue every slower core's traffic behind it.
-        while cursors:
-            core_id = min(cursors, key=lambda c: cores[c].clock)
-            events = queues[core_id]
-            index = cursors[core_id]
-            pc, addr, value, is_float, approximable, gap, is_store = events[index]
-            if gap_pending[core_id]:
-                gap_pending[core_id] = False
-                if gap:
-                    cores[core_id].advance(gap)
-                    continue
-            if is_store:
-                self._process_store(core_id, addr)
-            else:
-                self._process_load(core_id, pc, addr, value, is_float, approximable)
-            if index + 1 >= len(events):
-                del cursors[core_id]
-            else:
-                cursors[core_id] = index + 1
-                gap_pending[core_id] = True
+        while heap:
+            _, rank, core_id = heapq.heappop(heap)
+            # The next core in line; this one yields once it passes it.
+            next_clock, next_rank, _ = heap[0] if heap else (math.inf, 0, 0)
+            core = cores[core_id]
+            probe = self.l1s[core_id].probe
+            pending = self._pending[core_id]
+            events = queues[rank]
+            end = len(events)
+            index = cursors[rank]
+            owes_gap = gap_pending[rank]
+            while True:
+                pc, addr, value, is_float, approximable, gap, is_store = events[index]
+                if gap and owes_gap:
+                    core.advance(gap)
+                    owes_gap = False
+                else:
+                    if is_store:
+                        self._process_store(core_id, addr)
+                    else:
+                        # _process_load with its hit half inline.
+                        if pending.next_due <= core.clock:
+                            self._apply_due_trainings(core_id)
+                        loads += 1
+                        if probe(addr):
+                            core.issue_load(0)
+                        else:
+                            self._process_load_miss(
+                                core_id, pc, addr, value, is_float, approximable
+                            )
+                    index += 1
+                    if index == end:
+                        break
+                    owes_gap = True
+                clock = core.clock
+                if clock > next_clock or (clock == next_clock and rank > next_rank):
+                    break
+            if index < end:
+                cursors[rank] = index
+                gap_pending[rank] = owes_gap
+                heapq.heappush(heap, (core.clock, rank, core_id))
 
+        self._loads += loads
         return self._finalize()
 
     def replay_events(self, trace: Trace) -> FullSystemResult:

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.noc.router import Link
 from repro.noc.topology import MeshTopology
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NocConfig:
     """Mesh parameters (Table II: 2x2 mesh, 3-cycle routers).
 
@@ -41,7 +41,7 @@ class NocConfig:
         return 1 + (block_bytes + self.flit_bytes - 1) // self.flit_bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketTimings:
     """Timing of one packet through the mesh."""
 
@@ -54,7 +54,7 @@ class PacketTimings:
         return self.arrival - self.departure
 
 
-@dataclass
+@dataclass(slots=True)
 class NetworkStats:
     """Aggregate network counters (traffic feeds the energy model)."""
 
@@ -77,6 +77,8 @@ class MeshNetwork:
         self.topology = MeshTopology(config.width, config.height)
         self.stats = NetworkStats()
         self._links: Dict[Tuple[int, int], Link] = {}
+        #: (src, dst) -> the links of its XY route, built on first use.
+        self._routes: Dict[Tuple[int, int], List[Link]] = {}
 
     def _link(self, key: Tuple[int, int]) -> Link:
         link = self._links.get(key)
@@ -84,6 +86,16 @@ class MeshNetwork:
             link = Link()
             self._links[key] = link
         return link
+
+    def _route_links(self, src: int, dst: int) -> List[Link]:
+        """The links of the ``src`` -> ``dst`` route, cached per pair.
+
+        Built through :meth:`MeshTopology.route`, so an unknown node
+        raises :class:`ConfigurationError` (and is never cached).
+        """
+        links = [self._link(hop) for hop in self.topology.route(src, dst)]
+        self._routes[(src, dst)] = links
+        return links
 
     def send(
         self,
@@ -102,27 +114,30 @@ class MeshNetwork:
         leftover bandwidth and never delay demand traffic (the Aergia-style
         deprioritization of approximated fetches, Section VI-C).
         """
-        route = self.topology.route(src, dst)
-        self.stats.packets += 1
-        if not route:
-            arrival = departure + self.config.router_latency
-            self.stats.total_latency += arrival - departure
+        links = self._routes.get((src, dst))
+        if links is None:
+            links = self._route_links(src, dst)
+        stats = self.stats
+        stats.packets += 1
+        router_latency = self.config.router_latency
+        if not links:
+            arrival = departure + router_latency
+            stats.total_latency += arrival - departure
             return PacketTimings(departure, arrival)
         queueing = 0
         # Wormhole switching: the head flit pays the router pipeline at each
         # hop (plus injection) and may queue for a busy link; the body
         # pipelines behind it, so serialization is paid once at the end.
-        head = departure + self.config.router_latency  # injection router
-        for hop in route:
-            head += self.config.router_latency
-            link = self._link(hop)
-            start = link.transfer(head, flits, low_priority=low_priority) - flits
+        head = departure + router_latency  # injection router
+        for link in links:
+            head += router_latency
+            start = link.transfer(head, flits, low_priority) - flits
             queueing += start - head
             head = start
-            self.stats.flit_hops += flits
+        stats.flit_hops += flits * len(links)
         arrival = head + flits
-        self.stats.total_latency += arrival - departure
-        self.stats.total_queueing += queueing
+        stats.total_latency += arrival - departure
+        stats.total_queueing += queueing
         return PacketTimings(departure, arrival)
 
     def request_reply(
@@ -140,6 +155,7 @@ class MeshNetwork:
         return PacketTimings(departure, reply.arrival)
 
     def reset(self) -> None:
-        """Clear link occupancy and statistics."""
+        """Clear link occupancy, the route cache and statistics."""
         self._links.clear()
+        self._routes.clear()
         self.stats = NetworkStats()

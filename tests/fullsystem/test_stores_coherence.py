@@ -18,19 +18,26 @@ def store(tid, addr, gap=5):
 
 
 class TestStoreEvents:
-    def test_store_to_shared_block_invalidates_remote_copy(self):
+    # The directory tracks whole blocks: loads and the store may name any
+    # byte of the block, including different ones.
+    @pytest.mark.parametrize(
+        "load_addr, store_addr",
+        [(0x1000, 0x1000), (0x1008, 0x1008), (0x1008, 0x1010)],
+        ids=["aligned", "unaligned-same-offset", "unaligned-other-offset"],
+    )
+    def test_store_to_shared_block_invalidates_remote_copy(self, load_addr, store_addr):
         # Threads replay on independent core clocks, so the reload gets a
         # large gap to guarantee it executes after core 1's store.
         trace = Trace([
-            load(0, 0x1000),            # core 0 caches the block
-            load(1, 0x1000),            # core 1 shares it
-            store(1, 0x1000),           # core 1 writes: invalidate core 0
-            load(0, 0x1000, gap=4000),  # core 0 must miss again
+            load(0, load_addr),            # core 0 caches the block
+            load(1, load_addr),            # core 1 shares it
+            store(1, store_addr),          # core 1 writes: invalidate core 0
+            load(0, load_addr, gap=4000),  # core 0 must miss again
         ])
         sim = FullSystemSimulator(FullSystemConfig())
         result = sim.run(trace)
         assert result.raw_misses == 3  # two compulsory + one coherence miss
-        assert sim.directory.stats.invalidations_sent >= 1
+        assert sim.directory.stats.invalidations_sent == 1
 
     def test_store_hit_keeps_block_and_dirties(self):
         trace = Trace([
