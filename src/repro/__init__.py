@@ -39,7 +39,7 @@ Subpackages:
 
 * :mod:`repro.core` — approximator, confidence, degree, GHB/LHB, hashing,
   plus the idealized LVP baseline;
-* :mod:`repro.mem` — caches, MSHRs, MSI coherence, main memory;
+* :mod:`repro.mem` — set-associative LRU cache, MSI coherence, DRAM timing;
 * :mod:`repro.prefetch` — GHB prefetcher baseline;
 * :mod:`repro.noc` — 2x2 mesh network model;
 * :mod:`repro.cpu` — out-of-order core timing model;

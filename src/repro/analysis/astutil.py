@@ -102,21 +102,3 @@ def property_names(node: ast.ClassDef) -> List[str]:
                     names.append(statement.name)
                     break
     return names
-
-
-class ParentAnnotator(ast.NodeVisitor):
-    """Attach ``_lva_parent`` links so rules can look outward from a node."""
-
-    def __init__(self) -> None:
-        self._stack: List[ast.AST] = []
-
-    def visit(self, node: ast.AST) -> None:
-        if self._stack:
-            node._lva_parent = self._stack[-1]  # type: ignore[attr-defined]
-        self._stack.append(node)
-        self.generic_visit(node)
-        self._stack.pop()
-
-
-def annotate_parents(tree: ast.Module) -> None:
-    ParentAnnotator().visit(tree)

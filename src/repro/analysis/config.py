@@ -95,7 +95,6 @@ class AnalysisConfig:
         "repro.noc.router",
     )
     hot_methods: Tuple[str, ...] = (
-        "SetAssociativeCache.access",
         "SetAssociativeCache.probe",
         "SetAssociativeCache.contains",
         "SetAssociativeCache._find",
@@ -113,11 +112,6 @@ class AnalysisConfig:
         "DelayQueue.due",
         "TraceSimulator._train",
         "TraceSimulator._fetch",
-        "TwoLevelHierarchy.load",
-        "TwoLevelHierarchy.store",
-        "TwoLevelHierarchy._fill_l1",
-        "MSHRFile.lookup",
-        "MSHRFile.merge",
         "CoreTimingModel.issue_load",
         "CoreTimingModel.advance",
         "CoreTimingModel._enforce_rob",

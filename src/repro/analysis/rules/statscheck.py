@@ -1,7 +1,7 @@
 """LVA005 — counters written must be declared, counters declared must be written.
 
 Every ``*Stats`` dataclass (``SimulationStats``, ``CacheStats``,
-``MSHRStats``, ...) is a contract between the simulators that increment
+``DirectoryStats``, ...) is a contract between the simulators that increment
 its counters and the reports that read them. Two failure modes drift in
 silently:
 

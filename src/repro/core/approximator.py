@@ -228,12 +228,6 @@ class LoadValueApproximator:
             return entry, False, index, tag
         return entry, True, index, tag
 
-    def _confidence_gates(self, is_float: bool) -> bool:
-        """Does the confidence counter gate approximations for this type?"""
-        if is_float:
-            return self.config.apply_confidence_to_floats
-        return self.config.apply_confidence_to_ints
-
     def on_miss(self, pc: int, is_float: bool) -> ApproximationDecision:
         """Present one load miss; returns the approximation decision.
 
@@ -348,10 +342,6 @@ class LoadValueApproximator:
     def allocated_entries(self) -> int:
         """Number of table slots touched so far (hardware-budget insight)."""
         return len(self._table)
-
-    def entry_at(self, index: int) -> Optional[ApproximatorEntry]:
-        """The entry at a table index, or None if never allocated."""
-        return self._table.get(index)
 
     def reset(self) -> None:
         """Clear all architectural state (table, GHB) and statistics."""

@@ -47,11 +47,6 @@ class ApproximatorEntry:
         self.lhb.clear()
         self.degree_counter = self.max_degree
 
-    @property
-    def can_generate(self) -> bool:
-        """True when the LHB holds at least one trained value."""
-        return bool(self.lhb)
-
     def consume_degree(self) -> bool:
         """Advance the degree counter for one approximation.
 

@@ -112,12 +112,6 @@ NO_CACHE_ENV = _declare(
     "disable the result cache and trace store together",
     pinned_by="tests/experiments/test_diskcache.py",
 )
-TRACE_LRU_ENV = _declare(
-    "REPRO_TRACE_LRU",
-    "neutral",
-    "bound the in-process packed-trace LRU (default 4)",
-    pinned_by="tests/experiments/test_tracestore.py",
-)
 STORE_VERIFY_ENV = _declare(
     "REPRO_STORE_VERIFY",
     "neutral",

@@ -17,7 +17,6 @@ sweep point needs the same baseline.
 from __future__ import annotations
 
 import math
-import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -34,7 +33,7 @@ from typing import (
     runtime_checkable,
 )
 
-from repro import envspec, faults, telemetry
+from repro import faults, telemetry
 from repro.core.config import ApproximatorConfig
 from repro.predictors import registry as predictor_registry
 from repro.energy.model import EnergyBreakdown
@@ -176,16 +175,13 @@ class ExperimentDriver(Protocol):
     * :meth:`points` — declare the sweep points this experiment needs
       (empty for experiments that cannot be decomposed, e.g. the
       full-system replays);
-    * :meth:`run_point` — compute one declared point, warming the
-      result caches;
-    * :meth:`render` — assemble the figure/table, reading those caches.
+    * :meth:`render` — assemble the figure/table from the result caches
+      the sweep engine warmed, computing any point they lack.
     """
 
     name: str
 
     def points(self, small: bool = False, seed: int = 0) -> "List[SweepPoint]": ...
-
-    def run_point(self, point: "SweepPoint") -> object: ...
 
     def render(self, small: bool = False, seed: int = 0) -> ExperimentResult: ...
 
@@ -204,12 +200,6 @@ class Driver:
         if self.points_fn is None:
             return []
         return self.points_fn(small=small, seed=seed)
-
-    def run_point(self, point: "SweepPoint") -> object:
-        """Compute one point in-process, warming the result caches."""
-        from repro.experiments.sweep import execute_point
-
-        return execute_point(point)
 
     def render(self, small: bool = False, seed: int = 0) -> ExperimentResult:
         """Assemble the figure/table (cheap once the caches are warm)."""
@@ -291,11 +281,6 @@ class ComputeCounters:
             "fullsystem_memory_hits": self.fullsystem_memory_hits,
             "fullsystem_disk_hits": self.fullsystem_disk_hits,
         }
-
-    def merge(self, other: Dict[str, int]) -> None:
-        """Accumulate a worker's counter snapshot into this one."""
-        for field_name, value in other.items():
-            setattr(self, field_name, getattr(self, field_name) + value)
 
 
 COMPUTE_COUNTERS = ComputeCounters()
@@ -519,21 +504,10 @@ def run_technique(
 # Phase 2                                                               #
 # --------------------------------------------------------------------- #
 
-#: Environment variable bounding the in-process packed-trace LRU (entry
-#: count; default 4 — phase-2 figures iterate one workload at a time, so
-#: a handful of entries covers every access pattern we have). Declared
-#: (with its cache-key classification) in :mod:`repro.envspec`.
-TRACE_LRU_ENV = envspec.TRACE_LRU_ENV
-
-_TRACE_LRU_DEFAULT = 4
-
-
-def _trace_lru_capacity() -> int:
-    """The LRU bound, re-read from the environment on every eviction."""
-    try:
-        return max(1, int(os.environ.get(TRACE_LRU_ENV, _TRACE_LRU_DEFAULT)))
-    except ValueError:
-        return _TRACE_LRU_DEFAULT
+#: Bound of the in-process packed-trace LRU (entry count). Phase-2
+#: figures iterate one workload at a time, so a handful of entries covers
+#: every access pattern we have.
+TRACE_LRU_CAPACITY = 4
 
 
 class _PackedTraceLRU:
@@ -560,8 +534,7 @@ class _PackedTraceLRU:
     def put(self, key: Tuple[str, int, bool], trace: PackedTrace) -> None:
         self._entries[key] = trace
         self._entries.move_to_end(key)
-        capacity = _trace_lru_capacity()
-        while len(self._entries) > capacity:
+        while len(self._entries) > TRACE_LRU_CAPACITY:
             self._entries.popitem(last=False)
 
     def clear(self) -> None:

@@ -1152,27 +1152,3 @@ class SweepEngine:
 
 
 _ZERO_COUNTERS: Dict[str, int] = common.ComputeCounters().as_dict()
-
-
-def execute_points(points: Iterable[SweepPoint], jobs: int = 1, **kwargs) -> SweepReport:
-    """Convenience wrapper: one engine, one execution."""
-    engine = SweepEngine(jobs=jobs, **kwargs)
-    return engine.execute(points)
-
-
-def execute_point(point: SweepPoint):
-    """Compute one point in-process, warming the result caches.
-
-    The :meth:`repro.experiments.common.ExperimentDriver.run_point`
-    implementation: same compute (and cache/telemetry) path as a sweep
-    worker, minus the supervision envelope. Returns the
-    :class:`~repro.experiments.common.PreciseReference` or
-    :class:`~repro.experiments.common.TechniqueResult`.
-    """
-    if point.is_fullsystem:
-        _, result, _ = _run_fullsystem_worker(point)
-    elif point.is_technique:
-        _, result, _ = _run_technique_worker(point)
-    else:
-        _, result, _ = _run_precise_worker(point)
-    return result

@@ -37,7 +37,7 @@ and a deterministic occurrence window ``at=``/``count=``.
 from __future__ import annotations
 
 import dataclasses
-from typing import ClassVar, Dict, List, Mapping, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -190,8 +190,3 @@ def engine_clauses(clauses: Tuple[FaultClause, ...]) -> Tuple[FaultClause, ...]:
 
 def storage_clauses(clauses: Tuple[FaultClause, ...]) -> Tuple[FaultClause, ...]:
     return tuple(c for c in clauses if c.is_storage)
-
-
-def params_from_mapping(params: Mapping[str, object]) -> Tuple[Tuple[str, object], ...]:
-    """Helper for building clauses programmatically (tests, drivers)."""
-    return tuple(sorted(params.items()))

@@ -1,4 +1,4 @@
-"""A set-associative, write-back cache model.
+"""A set-associative, write-back LRU cache model.
 
 Used for the 64 KB L1s of the Pin-style design-space phase and the
 16 KB L1 / 512 KB L2 of the full-system phase (Table II). The cache tracks
@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import ConfigurationError
-from repro.mem.block import CacheBlock
-from repro.mem.replacement import LRUPolicy, ReplacementPolicy
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,27 +52,29 @@ class CacheConfig:
         return self.size_bytes // (self.block_bytes * self.associativity)
 
 
-@dataclass(slots=True)
-class AccessResult:
-    """Outcome of one cache access.
+class CacheBlock:
+    """One resident cache block's bookkeeping state.
 
-    The unremarkable outcomes (plain hit, plain miss) are returned as
-    shared singleton instances so the per-load hot path allocates nothing;
-    treat results as read-only.
+    The simulators track presence and metadata only; data values live in
+    the workload-facing value store (:mod:`repro.sim.frontend`), mirroring
+    how a trace-driven timing simulator separates timing from functional
+    state. A block object exists only while its block is resident.
     """
 
-    hit: bool
-    #: Block address (block-aligned byte address) of a dirty block evicted
-    #: to make room, or None. Only produced by fills.
-    writeback: Optional[int] = None
-    #: True when the access hit a block that was prefetched and had not yet
-    #: been demanded (a *useful* prefetch).
-    prefetch_hit: bool = False
+    __slots__ = ("tag", "dirty", "last_use", "prefetched")
 
+    def __init__(self, tag: int, now: int, prefetched: bool = False) -> None:
+        self.tag = tag
+        self.dirty = False
+        #: Cache clock of the last fill or hit; the LRU victim is the
+        #: resident block with the smallest value.
+        self.last_use = now
+        #: Set when the block was brought in by a prefetch and not yet
+        #: demanded; used to measure useful vs. useless prefetches.
+        self.prefetched = prefetched
 
-#: Shared results for the overwhelmingly common outcomes (see AccessResult).
-_HIT = AccessResult(hit=True)
-_MISS = AccessResult(hit=False)
+    def __repr__(self) -> str:
+        return f"CacheBlock(tag={self.tag:#x}, dirty={self.dirty}, last_use={self.last_use})"
 
 
 @dataclass(slots=True)
@@ -111,21 +111,17 @@ class CacheStats:
 
 
 class SetAssociativeCache:
-    """Set-associative cache with pluggable replacement (default LRU).
+    """Set-associative write-back cache with LRU replacement.
 
     Each set is a ``tag -> CacheBlock`` dictionary, so lookups are O(1)
     rather than a way scan — the simulators probe the cache on every load,
-    so this is the hottest path in the whole library.
+    so this is the hottest path in the whole library. Every probe and fill
+    advances a per-cache clock; a hit or fill stamps the block with it, and
+    a fill into a full set evicts the block with the oldest stamp.
     """
 
-    def __init__(
-        self,
-        config: Optional[CacheConfig] = None,
-        policy: Optional[ReplacementPolicy] = None,
-        name: str = "cache",
-    ) -> None:
+    def __init__(self, config: Optional[CacheConfig] = None, name: str = "cache") -> None:
         self.config = config or CacheConfig()
-        self.policy = policy or LRUPolicy()
         self.name = name
         self.stats = CacheStats()
         self._sets: List[dict] = [{} for _ in range(self.config.num_sets)]
@@ -133,10 +129,6 @@ class SetAssociativeCache:
         self._offset_bits = self.config.block_bytes.bit_length() - 1
         self._index_mask = self.config.num_sets - 1
         self._index_bits = self._index_mask.bit_length()
-        # Plain LRU (the default) only bumps recency on a hit; inlining that
-        # one store skips a virtual dispatch on the hottest path. Any other
-        # policy — including an LRU subclass — goes through on_hit.
-        self._plain_lru = type(self.policy) is LRUPolicy
 
     # ------------------------------------------------------------------ #
     # Address helpers                                                    #
@@ -158,29 +150,14 @@ class SetAssociativeCache:
     # Accesses                                                           #
     # ------------------------------------------------------------------ #
 
-    def access(self, addr: int, is_write: bool = False) -> AccessResult:
-        """Probe the cache for ``addr``; updates stats and recency.
+    def probe(self, addr: int, is_write: bool = False) -> bool:
+        """Access ``addr``; returns True on a hit. Updates stats and recency.
 
         A miss does *not* implicitly fill — the caller decides whether a
         fetch happens at all (that decoupling is the heart of the paper's
         approximation degree). Call :meth:`fill` when the block arrives.
-
-        Plain hits and misses return shared :class:`AccessResult`
-        singletons (no allocation); callers must not mutate results.
-        """
-        useful = self.stats.useful_prefetches
-        if not self.probe(addr, is_write):
-            return _MISS
-        if self.stats.useful_prefetches == useful:
-            return _HIT
-        return AccessResult(hit=True, prefetch_hit=True)
-
-    def probe(self, addr: int, is_write: bool = False) -> bool:
-        """Boolean fast-path of :meth:`access`: same stats/recency updates,
-        but returns just the hit outcome and never allocates.
-
-        The simulators probe the L1 on every load instruction and only ever
-        look at ``.hit`` — this is the hottest path in the whole library.
+        The first demand hit on a prefetched block counts one useful
+        prefetch.
         """
         clock = self._clock + 1
         self._clock = clock
@@ -196,10 +173,7 @@ class SetAssociativeCache:
         stats.hits += 1
         if is_write:
             block.dirty = True
-        if self._plain_lru:
-            block.last_use = clock
-        else:
-            self.policy.on_hit(block, clock)
+        block.last_use = clock
         if block.prefetched:
             stats.useful_prefetches += 1
             block.prefetched = False
@@ -209,34 +183,36 @@ class SetAssociativeCache:
         """Non-destructive presence probe (no stats, no recency update)."""
         return self._find(addr) is not None
 
-    def fill(self, addr: int, prefetched: bool = False) -> AccessResult:
-        """Install the block holding ``addr``, evicting if necessary.
+    def fill(self, addr: int, prefetched: bool = False) -> None:
+        """Install the block holding ``addr``, evicting the least recently
+        used block of a full set (a dirty victim counts one writeback).
 
-        Returns an :class:`AccessResult` whose ``writeback`` carries the
-        block address of any dirty victim. Filling a block already present
-        is a no-op (e.g. a prefetch racing a demand fetch).
+        Filling a block already present only advances the clock (e.g. a
+        prefetch racing a demand fetch).
         """
-        self._clock += 1
-        index, tag = self._decompose(addr)
-        ways = self._sets[index]
+        clock = self._clock + 1
+        self._clock = clock
+        block_bits = addr >> self._offset_bits
+        ways = self._sets[block_bits & self._index_mask]
+        tag = block_bits >> self._index_bits
         if tag in ways:
-            return _HIT
-        writeback = None
+            return
+        stats = self.stats
         if len(ways) >= self.config.associativity:
-            blocks = list(ways.values())
-            victim = blocks[self.policy.victim(blocks)]
+            # Every resident block was stamped before this tick, so the
+            # loop always binds the victim: the first block with the
+            # smallest stamp.
+            oldest = clock
+            for block in ways.values():
+                if block.last_use < oldest:
+                    victim = block
+                    oldest = block.last_use
             del ways[victim.tag]
-            self.stats.evictions += 1
+            stats.evictions += 1
             if victim.dirty:
-                self.stats.writebacks += 1
-                writeback = self._recompose(index, victim.tag)
-        block = CacheBlock(tag)
-        block.fill(tag, self._clock, prefetched=prefetched)
-        ways[tag] = block
-        self.stats.fills += 1
-        if writeback is None:
-            return _MISS
-        return AccessResult(hit=False, writeback=writeback)
+                stats.writebacks += 1
+        ways[tag] = CacheBlock(tag, clock, prefetched)
+        stats.fills += 1
 
     def invalidate(self, addr: int) -> bool:
         """Drop the block holding ``addr`` if present (coherence)."""
@@ -267,16 +243,13 @@ class SetAssociativeCache:
         self.stats.invalidations += dropped
         return dropped
 
-    def _recompose(self, index: int, tag: int) -> int:
-        return ((tag << self._index_bits) | index) << self._offset_bits
-
     # ------------------------------------------------------------------ #
     # Introspection                                                      #
     # ------------------------------------------------------------------ #
 
     @property
     def resident_blocks(self) -> int:
-        """Number of valid blocks currently cached."""
+        """Number of blocks currently cached."""
         return sum(len(ways) for ways in self._sets)
 
     def reset(self) -> None:

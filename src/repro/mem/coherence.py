@@ -12,7 +12,13 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
-from repro.mem.block import CoherenceState
+
+class CoherenceState(enum.Enum):
+    """MSI coherence states (the protocol of Table II)."""
+
+    INVALID = "I"
+    SHARED = "S"
+    MODIFIED = "M"
 
 
 class CoherenceAction(enum.Enum):

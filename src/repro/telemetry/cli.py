@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.telemetry.profiling import validate_speedscope
@@ -177,9 +178,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             status = 1
     if args.check_speedscope:
         try:
-            doc = json.loads(
-                open(args.check_speedscope, "r", encoding="utf-8").read()
-            )
+            doc = json.loads(Path(args.check_speedscope).read_text(encoding="utf-8"))
             validate_speedscope(doc)
         except Exception as exc:  # surfaced as a CI failure, not a crash
             print(f"check-speedscope: FAIL: {exc}", file=sys.stderr)

@@ -6,6 +6,8 @@ table/figure contains, and the headline orderings already show at small
 scale where they are robust.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import common
@@ -249,7 +251,7 @@ class TestFig1:
             reference.output, approx, str(tmp_path), small=True
         )
         for path in (precise_path, approx_path):
-            content = open(path).read().splitlines()
+            content = Path(path).read_text().splitlines()
             assert content[0] == "P2"
 
 

@@ -7,9 +7,8 @@ import math
 import pytest
 
 from repro.core.config import ApproximatorConfig
-from repro.experiments import common, diskcache, sweep
+from repro.experiments import common, diskcache
 from repro.experiments.sweep import SweepEngine, fullsystem_point
-from repro.fullsystem import FullSystemResult
 
 
 @pytest.fixture
@@ -73,11 +72,6 @@ class TestFullSystemPoints:
         )
         assert lva.approximate is True
         assert "fullsystem-lva" in lva.describe()
-
-    def test_execute_point_dispatches_fullsystem(self):
-        result = sweep.execute_point(fullsystem_point("swaptions", small=True))
-        assert isinstance(result, FullSystemResult)
-        assert result.failure is None
 
 
 class TestEngineIntegration:

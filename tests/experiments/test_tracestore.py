@@ -224,22 +224,21 @@ class TestCaptureIntegration:
         assert store.stats.hits == before + 1
         assert second.to_trace().events == first.to_trace().events
 
-    def test_trace_lru_is_bounded(self, monkeypatch):
-        monkeypatch.setenv(common.TRACE_LRU_ENV, "2")
+    def test_trace_lru_is_bounded(self):
+        capacity = common.TRACE_LRU_CAPACITY
         lru = common._PackedTraceLRU()
-        traces = [sample_trace(i + 1).pack() for i in range(4)]
-        for i, packed in enumerate(traces):
-            lru.put(("w", i, False), packed)
-        assert len(lru) == 2
-        assert ("w", 3, False) in lru and ("w", 2, False) in lru
-        assert ("w", 0, False) not in lru
+        for i in range(capacity + 2):
+            lru.put(("w", i, False), sample_trace(i + 1).pack())
+        assert len(lru) == capacity
+        assert ("w", capacity + 1, False) in lru and ("w", 2, False) in lru
+        assert ("w", 0, False) not in lru and ("w", 1, False) not in lru
 
-    def test_trace_lru_get_refreshes_recency(self, monkeypatch):
-        monkeypatch.setenv(common.TRACE_LRU_ENV, "2")
+    def test_trace_lru_get_refreshes_recency(self):
+        capacity = common.TRACE_LRU_CAPACITY
         lru = common._PackedTraceLRU()
-        lru.put(("a", 0, False), sample_trace(1).pack())
-        lru.put(("b", 0, False), sample_trace(2).pack())
-        assert lru.get(("a", 0, False)) is not None  # refresh "a"
-        lru.put(("c", 0, False), sample_trace(3).pack())
-        assert ("a", 0, False) in lru
-        assert ("b", 0, False) not in lru
+        for i in range(capacity):
+            lru.put(("w", i, False), sample_trace(i + 1).pack())
+        assert lru.get(("w", 0, False)) is not None  # refresh the oldest
+        lru.put(("new", 0, False), sample_trace(capacity + 1).pack())
+        assert ("w", 0, False) in lru
+        assert ("w", 1, False) not in lru

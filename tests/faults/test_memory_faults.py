@@ -1,4 +1,4 @@
-"""Memory-fault models and their wiring into the simulated hierarchy."""
+"""Memory-fault models and their wiring into the simulated runs."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ from repro import faults
 from repro.experiments import common, fault_ablation
 from repro.faults import MemoryFaultModel, parse_spec
 from repro.faults.memory import build_memory_model
-from repro.mem.hierarchy import TwoLevelHierarchy
-from repro.mem.memory import MainMemory
 from repro.sim.tracesim import Mode
 
 
@@ -66,32 +64,6 @@ class TestMemoryFaultModel:
 
     def test_engine_only_spec_builds_no_model(self):
         assert MemoryFaultModel.from_clauses(parse_spec("crash:workload=x")) is None
-
-
-class TestHierarchyWiring:
-    def test_main_memory_dropped_fetch_pays_latency(self):
-        memory = MainMemory(fault_model=MemoryFaultModel(drop_prob=1.0, seed=0))
-        latency, delivered = memory.fetch_block(0x1000)
-        assert latency == memory.latency
-        assert not delivered
-        assert memory.stats.dropped_reads == 1
-        assert memory.stats.reads == 0
-
-    def test_hierarchy_dropped_fetch_fills_nothing(self):
-        hierarchy = TwoLevelHierarchy(
-            memory=MainMemory(fault_model=MemoryFaultModel(drop_prob=1.0, seed=0))
-        )
-        first = hierarchy.load(0x2000)
-        assert first.served_by == "dropped"
-        assert not first.l1_filled
-        # The block never arrived, so the next access misses again.
-        second = hierarchy.load(0x2000)
-        assert second.served_by == "dropped"
-
-    def test_clean_hierarchy_unchanged(self):
-        hierarchy = TwoLevelHierarchy()
-        assert hierarchy.load(0x3000).served_by == "memory"
-        assert hierarchy.load(0x3000).served_by == "l1"
 
 
 class TestActivationContext:

@@ -1,26 +1,31 @@
-"""Remaining small edges: hierarchy stats, memory sizes, cache recompose."""
+"""Remaining small cache edges: index/tag round trip, writeback counting
+and block alignment."""
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.mem.cache import CacheConfig, SetAssociativeCache
-from repro.mem.memory import MainMemory
 
 
 class TestRecompose:
     def test_writeback_address_is_block_aligned_original(self):
-        """The writeback address reported on eviction must reconstruct the
-        victim's block address exactly (index+tag round trip)."""
+        """A dirty eviction removes exactly the victim's block-aligned block
+        (index+tag round trip) and counts one writeback; evicting the clean
+        block that replaced it counts none."""
         cache = SetAssociativeCache(
             CacheConfig(size_bytes=4 * 64, associativity=1, block_bytes=64)
         )
         victim_addr = 0x12340  # block-aligned
-        cache.fill(victim_addr)
-        cache.access(victim_addr, is_write=True)
+        cache.fill(victim_addr + 0x1C)
+        assert cache.probe(victim_addr + 0x3F, is_write=True)
         # Next fill maps to the same set (same index bits) and evicts it.
         conflicting = victim_addr + 4 * 64
-        result = cache.fill(conflicting)
-        assert result.writeback == victim_addr
+        cache.fill(conflicting)
+        assert not cache.contains(victim_addr)
+        assert not cache.contains(victim_addr + 0x3F)
+        assert cache.contains(conflicting)
+        assert (cache.stats.evictions, cache.stats.writebacks) == (1, 1)
+        cache.fill(victim_addr)
+        assert (cache.stats.evictions, cache.stats.writebacks) == (2, 1)
 
     @pytest.mark.parametrize("addr", [0x0, 0x1FC0, 0xABCDE40, 0x7FFFFFC0])
     def test_roundtrip_many_addresses(self, addr):
@@ -28,18 +33,14 @@ class TestRecompose:
             CacheConfig(size_bytes=2 * 64, associativity=1, block_bytes=64)
         )
         cache.fill(addr)
-        cache.access(addr, is_write=True)
-        result = cache.fill(addr + 2 * 64)
-        assert result.writeback == cache.block_address(addr)
-
-
-class TestMemorySizing:
-    def test_default_one_gigabyte(self):
-        assert MainMemory().size_bytes == 1 << 30
-
-    def test_zero_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MainMemory(size_bytes=0)
+        assert cache.probe(addr, is_write=True)
+        cache.fill(addr + 2 * 64)
+        assert not cache.contains(cache.block_address(addr))
+        assert cache.contains(addr + 2 * 64)
+        assert cache.stats.writebacks == 1
+        # The block address names the same block as the address itself.
+        cache.fill(cache.block_address(addr))
+        assert cache.probe(addr)
 
 
 class TestBlockAddressHelper:

@@ -1,12 +1,14 @@
 """Tests for the set-associative cache model."""
 
+import dataclasses
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.mem.cache import CacheConfig, SetAssociativeCache
-from repro.mem.replacement import FIFOPolicy
 
 
 def small_cache(assoc=2, sets=4, block=64):
@@ -40,38 +42,41 @@ class TestConfig:
 class TestAccess:
     def test_cold_miss_then_hit_after_fill(self):
         cache = small_cache()
-        assert not cache.access(0x1000).hit
+        assert not cache.probe(0x1000)
         cache.fill(0x1000)
-        assert cache.access(0x1000).hit
+        assert cache.probe(0x1000)
 
     def test_miss_does_not_implicitly_fill(self):
         # The fetch decoupling at the heart of approximation degree.
         cache = small_cache()
-        cache.access(0x1000)
-        assert not cache.access(0x1000).hit
+        cache.probe(0x1000)
+        assert not cache.probe(0x1000)
 
     def test_same_block_different_offset_hits(self):
         cache = small_cache()
         cache.fill(0x1000)
-        assert cache.access(0x1008).hit
-        assert cache.access(0x103F).hit
+        assert cache.probe(0x1008)
+        assert cache.probe(0x103F)
 
     def test_adjacent_block_misses(self):
         cache = small_cache()
         cache.fill(0x1000)
-        assert not cache.access(0x1040).hit
+        assert not cache.probe(0x1040)
 
     def test_write_sets_dirty_and_eviction_reports_writeback(self):
         cache = small_cache(assoc=1, sets=1)
         cache.fill(0x0)
-        cache.access(0x0, is_write=True)
-        result = cache.fill(0x40)  # evicts the dirty block
-        assert result.writeback == 0x0
+        cache.probe(0x0, is_write=True)
+        cache.fill(0x40)  # evicts the dirty block
+        assert cache.stats.evictions == 1
+        assert cache.stats.writebacks == 1
 
     def test_clean_eviction_has_no_writeback(self):
         cache = small_cache(assoc=1, sets=1)
         cache.fill(0x0)
-        assert cache.fill(0x40).writeback is None
+        cache.fill(0x40)
+        assert cache.stats.evictions == 1
+        assert cache.stats.writebacks == 0
 
     def test_fill_existing_block_is_noop(self):
         cache = small_cache()
@@ -83,7 +88,7 @@ class TestAccess:
         cache = small_cache()
         cache.fill(0x1000)
         assert cache.invalidate(0x1000)
-        assert not cache.access(0x1000).hit
+        assert not cache.probe(0x1000)
         assert not cache.invalidate(0x1000)
 
     def test_contains_does_not_touch_stats(self):
@@ -99,46 +104,34 @@ class TestLRU:
         cache = small_cache(assoc=2, sets=1)
         cache.fill(0x0)
         cache.fill(0x40)
-        cache.access(0x0)          # 0x0 is now most recent
+        cache.probe(0x0)           # 0x0 is now most recent
         cache.fill(0x80)           # evicts 0x40
-        assert cache.access(0x0).hit
-        assert not cache.access(0x40).hit
-
-    def test_fifo_ignores_recency(self):
-        cache = SetAssociativeCache(
-            CacheConfig(size_bytes=2 * 64, associativity=2, block_bytes=64),
-            policy=FIFOPolicy(),
-        )
-        cache.fill(0x0)
-        cache.fill(0x40)
-        cache.access(0x0)
-        cache.fill(0x80)           # evicts 0x0 (inserted first) despite recency
-        assert not cache.access(0x0).hit
-        assert cache.access(0x40).hit
+        assert cache.probe(0x0)
+        assert not cache.probe(0x40)
 
 
 class TestPrefetchTracking:
     def test_prefetch_hit_counted_once(self):
         cache = small_cache()
         cache.fill(0x1000, prefetched=True)
-        first = cache.access(0x1000)
-        second = cache.access(0x1000)
-        assert first.prefetch_hit and not second.prefetch_hit
+        assert cache.probe(0x1000)
+        assert cache.stats.useful_prefetches == 1
+        assert cache.probe(0x1000)
         assert cache.stats.useful_prefetches == 1
 
 
 class TestStats:
     def test_miss_rate(self):
         cache = small_cache()
-        cache.access(0x0)
+        cache.probe(0x0)
         cache.fill(0x0)
-        cache.access(0x0)
+        cache.probe(0x0)
         assert cache.stats.miss_rate == pytest.approx(0.5)
 
     def test_reset(self):
         cache = small_cache()
         cache.fill(0x0)
-        cache.access(0x0)
+        cache.probe(0x0)
         cache.reset()
         assert cache.stats.accesses == 0
         assert cache.resident_blocks == 0
@@ -150,7 +143,7 @@ class TestProperties:
     def test_capacity_never_exceeded(self, addrs):
         cache = small_cache(assoc=2, sets=4)
         for addr in addrs:
-            if not cache.access(addr).hit:
+            if not cache.probe(addr):
                 cache.fill(addr)
         assert cache.resident_blocks <= 8
 
@@ -159,7 +152,7 @@ class TestProperties:
     def test_hits_plus_misses_equals_accesses(self, addrs):
         cache = small_cache()
         for addr in addrs:
-            if not cache.access(addr).hit:
+            if not cache.probe(addr):
                 cache.fill(addr)
         assert cache.stats.hits + cache.stats.misses == cache.stats.accesses
 
@@ -169,4 +162,121 @@ class TestProperties:
         cache = small_cache()
         for addr in addrs:
             cache.fill(addr)
-            assert cache.access(addr).hit
+            assert cache.probe(addr)
+
+
+BLOCK = 64
+
+
+class ReferenceLRU:
+    """An LRU cache written from the definition, sharing no code with the
+    model: each set is an ``OrderedDict`` of tag -> ``[dirty, prefetched]``,
+    least recently used first."""
+
+    def __init__(self, num_sets, ways):
+        self.num_sets = num_sets
+        self.ways = ways
+        self.sets = [OrderedDict() for _ in range(num_sets)]
+        self.counts = dict.fromkeys(
+            ("accesses", "hits", "misses", "fills", "evictions", "writebacks",
+             "invalidations", "useful_prefetches"),
+            0,
+        )
+
+    def _locate(self, block):
+        return self.sets[block % self.num_sets], block // self.num_sets
+
+    def probe(self, addr, is_write):
+        lines, tag = self._locate(addr // BLOCK)
+        self.counts["accesses"] += 1
+        if tag not in lines:
+            self.counts["misses"] += 1
+            return False
+        self.counts["hits"] += 1
+        lines.move_to_end(tag)
+        line = lines[tag]
+        line[0] = line[0] or is_write
+        if line[1]:
+            self.counts["useful_prefetches"] += 1
+            line[1] = False
+        return True
+
+    def fill(self, addr, prefetched):
+        lines, tag = self._locate(addr // BLOCK)
+        if tag in lines:
+            return
+        if len(lines) == self.ways:
+            _, (dirty, _) = lines.popitem(last=False)
+            self.counts["evictions"] += 1
+            self.counts["writebacks"] += int(dirty)
+        lines[tag] = [False, prefetched]
+        self.counts["fills"] += 1
+
+    def contains(self, addr):
+        lines, tag = self._locate(addr // BLOCK)
+        return tag in lines
+
+    def invalidate_range(self, start, stop):
+        dropped = 0
+        for block in {addr // BLOCK for addr in range(start, stop)}:
+            lines, tag = self._locate(block)
+            if lines.pop(tag, None) is not None:
+                dropped += 1
+        self.counts["invalidations"] += dropped
+        return dropped
+
+
+#: Writes and fills carry extra weight: eviction, writeback and prefetch
+#: bookkeeping only show up once sets fill with dirty and prefetched blocks.
+OPS = ("probe", "write", "write", "fill", "fill", "fill", "prefetch", "prefetch",
+       "contains", "invalidate", "range")
+
+
+def apply(cache, ref, op, addr, span, end_offset):
+    if op in ("probe", "write"):
+        return cache.probe(addr, op == "write"), ref.probe(addr, op == "write")
+    if op in ("fill", "prefetch"):
+        cache.fill(addr, op == "prefetch")
+        ref.fill(addr, op == "prefetch")
+        return None, None
+    if op == "contains":
+        return cache.contains(addr), ref.contains(addr)
+    if op == "invalidate":
+        return cache.invalidate(addr), ref.invalidate_range(addr, addr + 1) == 1
+    stop = (addr // BLOCK + span - 1) * BLOCK + end_offset + 1
+    return cache.invalidate_range(addr, stop), ref.invalidate_range(addr, stop)
+
+
+#: (operation, block 0-7, byte offset, range span in blocks, range end offset).
+OP = st.tuples(
+    st.sampled_from(OPS),
+    st.integers(0, 7),
+    st.integers(0, BLOCK - 1),
+    st.integers(1, 4),
+    st.integers(0, BLOCK - 1),
+)
+
+
+class TestAgainstReferenceLRU:
+    @settings(max_examples=200)
+    @given(
+        st.sampled_from([(1, 4), (2, 2), (4, 1)]),
+        # A uniform length: plain st.lists averages about six operations,
+        # too few to fill a set with dirty blocks and then evict them.
+        st.integers(1, 60).flatmap(lambda n: st.lists(OP, min_size=n, max_size=n)),
+    )
+    def test_matches_reference_after_every_operation(self, geometry, ops):
+        num_sets, ways = geometry
+        cache = SetAssociativeCache(
+            CacheConfig(size_bytes=num_sets * ways * BLOCK, associativity=ways, block_bytes=BLOCK)
+        )
+        ref = ReferenceLRU(num_sets, ways)
+        for op, block, offset, span, end_offset in ops:
+            got, expected = apply(cache, ref, op, block * BLOCK + offset, span, end_offset)
+            assert got == expected, op
+            assert dataclasses.asdict(cache.stats) == ref.counts, op
+            for ways_now, lines in zip(cache._sets, ref.sets):
+                by_recency = sorted(ways_now.values(), key=lambda b: b.last_use)
+                assert [(b.tag, b.dirty, b.prefetched) for b in by_recency] == [
+                    (tag, dirty, prefetched) for tag, (dirty, prefetched) in lines.items()
+                ], op

@@ -1,7 +1,6 @@
 """Tests for the MSI directory protocol."""
 
-from repro.mem.block import CoherenceState
-from repro.mem.coherence import CoherenceAction, MSIDirectory
+from repro.mem.coherence import CoherenceAction, CoherenceState, MSIDirectory
 
 
 BLOCK = 0x1000

@@ -1,89 +1,67 @@
-"""Direct tests for replacement policies and cache blocks."""
+"""Direct tests for the cache's LRU replacement choice."""
 
-import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.mem.block import CacheBlock, CoherenceState
-from repro.mem.replacement import FIFOPolicy, LRUPolicy, RandomPolicy
+from repro.mem.cache import CacheConfig, SetAssociativeCache
+
+BLOCK = 64
 
 
-def blocks_with(last_uses, inserted_ats=None):
-    inserted_ats = inserted_ats or last_uses
-    out = []
-    for i, (use, ins) in enumerate(zip(last_uses, inserted_ats)):
-        block = CacheBlock(tag=i)
-        block.fill(i, now=ins)
-        block.last_use = use
-        out.append(block)
-    return out
+def one_set(ways):
+    """A cache of a single set with ``ways`` ways; block i lives at i * 64."""
+    return SetAssociativeCache(
+        CacheConfig(size_bytes=ways * BLOCK, associativity=ways, block_bytes=BLOCK)
+    )
+
+
+def cache_with_recency(uses):
+    """A full single-set cache holding blocks 0..n-1, touched so that block
+    i's recency rank matches ``uses[i]`` (larger = more recently used)."""
+    cache = one_set(len(uses))
+    for i in range(len(uses)):
+        cache.fill(i * BLOCK)
+    for i in sorted(range(len(uses)), key=lambda i: uses[i]):
+        assert cache.probe(i * BLOCK)
+    return cache
+
+
+def victim(cache, resident):
+    """Fill one new block into the full set; return which of blocks
+    0..resident-1 it evicted."""
+    cache.fill(resident * BLOCK)
+    gone = [i for i in range(resident) if not cache.contains(i * BLOCK)]
+    assert len(gone) == 1
+    return gone[0]
 
 
 class TestLRU:
     def test_picks_smallest_last_use(self):
-        ways = blocks_with([5, 2, 9, 7])
-        assert LRUPolicy().victim(ways) == 1
+        cache = cache_with_recency([5, 2, 9, 7])
+        assert victim(cache, 4) == 1
 
     def test_on_hit_bumps_recency(self):
-        block = CacheBlock(1)
-        LRUPolicy().on_hit(block, now=42)
-        assert block.last_use == 42
+        untouched = one_set(2)
+        untouched.fill(0x0)
+        untouched.fill(0x40)
+        assert victim(untouched, 2) == 0
+        hit = one_set(2)
+        hit.fill(0x0)
+        hit.fill(0x40)
+        assert hit.probe(0x0)
+        assert victim(hit, 2) == 1
 
     def test_tie_breaks_to_first(self):
-        ways = blocks_with([3, 3, 3])
-        assert LRUPolicy().victim(ways) == 0
+        # The cache clock never repeats a stamp, so a tie only arises by
+        # hand; the first resident block among equals is the victim.
+        cache = one_set(3)
+        for i in range(3):
+            cache.fill(i * BLOCK)
+        for block in cache._sets[0].values():
+            block.last_use = 0
+        assert victim(cache, 3) == 0
 
     @given(st.lists(st.integers(0, 1000), min_size=1, max_size=16, unique=True))
     def test_always_minimum(self, uses):
-        ways = blocks_with(uses)
-        victim = LRUPolicy().victim(ways)
-        assert uses[victim] == min(uses)
-
-
-class TestFIFO:
-    def test_picks_earliest_insertion(self):
-        ways = blocks_with([9, 9, 9], inserted_ats=[5, 2, 7])
-        assert FIFOPolicy().victim(ways) == 1
-
-    def test_on_hit_does_not_touch_recency(self):
-        block = CacheBlock(1)
-        block.last_use = 7
-        FIFOPolicy().on_hit(block, now=99)
-        assert block.last_use == 7
-
-
-class TestRandom:
-    def test_victim_in_range_and_deterministic_with_seed(self):
-        ways = blocks_with([1, 2, 3, 4])
-        a = RandomPolicy(np.random.default_rng(3))
-        b = RandomPolicy(np.random.default_rng(3))
-        picks_a = [a.victim(ways) for _ in range(20)]
-        picks_b = [b.victim(ways) for _ in range(20)]
-        assert picks_a == picks_b
-        assert all(0 <= p < 4 for p in picks_a)
-
-    def test_eventually_covers_all_ways(self):
-        ways = blocks_with([1, 2, 3, 4])
-        policy = RandomPolicy(np.random.default_rng(0))
-        picks = {policy.victim(ways) for _ in range(200)}
-        assert picks == {0, 1, 2, 3}
-
-
-class TestCacheBlock:
-    def test_fill_sets_state(self):
-        block = CacheBlock()
-        block.fill(0x7, now=3, prefetched=True)
-        assert block.valid and block.prefetched
-        assert block.state is CoherenceState.SHARED
-        assert block.inserted_at == 3
-
-    def test_invalidate_clears(self):
-        block = CacheBlock()
-        block.fill(0x7, now=3)
-        block.dirty = True
-        block.invalidate()
-        assert not block.valid and not block.dirty
-        assert block.state is CoherenceState.INVALID
-
-    def test_repr_mentions_state(self):
-        assert "state=I" in repr(CacheBlock())
+        cache = cache_with_recency(uses)
+        assert uses[victim(cache, len(uses))] == min(uses)
