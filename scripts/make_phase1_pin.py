@@ -103,9 +103,9 @@ def _l1_digest(sim: TraceSimulator) -> str:
     return _sha("\n".join(lines))
 
 
-def _trace_digest(packed: PackedTrace) -> str:
+def _trace_digest(packed: PackedTrace, columns=TRACE_COLUMNS) -> str:
     digest = hashlib.sha256()
-    for name, dtype in TRACE_COLUMNS:
+    for name, dtype in columns:
         digest.update(f"{name}:{dtype}:".encode())
         digest.update(getattr(packed, name).tobytes())
     return digest.hexdigest()

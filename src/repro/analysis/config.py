@@ -101,6 +101,8 @@ class AnalysisConfig:
         "SetAssociativeCache.fill",
         "SetAssociativeCache.invalidate",
         "SetAssociativeCache.invalidate_range",
+        "MemoryFrontend.load",
+        "MemoryFrontend.load_approx",
         "MemoryFrontend.store_many",
         "TraceSimulator._serve_load",
         "TraceSimulator._serve_lva_miss",

@@ -803,14 +803,18 @@ class SweepEngine:
     def _run_supervised(self, tasks: List[_Task], journal) -> None:
         """The fault-tolerant parallel loop.
 
-        In-flight submissions are capped at the worker count, so a
-        submitted future starts (approximately) immediately and its
-        submission time is an honest start-of-attempt clock for the
-        per-point timeout.
+        Without a per-point timeout, two points per worker are in flight:
+        a queued point starts as soon as a worker frees up, instead of
+        the worker idling while this loop collects the last result and
+        submits the next point. With a timeout, in-flight submissions are
+        capped at the worker count. The timeout clock starts at
+        submission, and the executor counts a queued future as running,
+        so a point waiting behind another would be charged its wait.
         """
         pending: deque = deque(tasks)
         retry_heap: List[Tuple[float, int, _Task]] = []
         inflight: Dict[object, Tuple[_Task, float]] = {}
+        cap = self.jobs if self.point_timeout else 2 * self.jobs
         pool: Optional[ProcessPoolExecutor] = self._new_pool()
         clean_exit = False
         try:
@@ -819,7 +823,7 @@ class SweepEngine:
                 while retry_heap and retry_heap[0][0] <= now:
                     pending.append(heapq.heappop(retry_heap)[2])
 
-                while pending and len(inflight) < self.jobs:
+                while pending and len(inflight) < cap:
                     task = pending.popleft()
                     task.started = time.monotonic()
                     try:

@@ -179,16 +179,8 @@ class MemoryFrontend(abc.ABC):
     def load(self, pc: int, addr: int) -> Number:
         """A precise load — never approximated, always returns the true value
         (but still exercises the cache in simulating front-ends)."""
-        return self._issue(pc, addr, False, True)
-
-    def load_approx(self, pc: int, addr: int, is_float: bool = True) -> Number:
-        """A load annotated approximate (the EnerJ-style ISA hint of
-        Section IV); simulating front-ends may clobber its value."""
-        return self._issue(pc, addr, True, is_float)
-
-    # -- shared mechanics ----------------------------------------------- #
-
-    def _issue(self, pc: int, addr: int, approximable: bool, is_float: bool) -> Number:
+        # load and load_approx each do the whole load themselves, so an L1
+        # hit costs three calls: this one, _serve_load and the L1 probe.
         self.instructions += 1
         try:
             actual = self.values[addr]
@@ -196,10 +188,27 @@ class MemoryFrontend(abc.ABC):
             raise AddressError(
                 f"load from unwritten address {addr:#x} (pc={pc:#x})"
             ) from None
-        returned = self._serve_load(pc, addr, actual, approximable, is_float)
+        returned = self._serve_load(pc, addr, actual, False, True)
         if self.recorder is not None:
-            self.recorder.on_load(self._tid, pc, addr, actual, is_float, approximable)
+            self.recorder.on_load(self._tid, pc, addr, actual, True, False)
         return returned
+
+    def load_approx(self, pc: int, addr: int, is_float: bool = True) -> Number:
+        """A load annotated approximate (the EnerJ-style ISA hint of
+        Section IV); simulating front-ends may clobber its value."""
+        self.instructions += 1
+        try:
+            actual = self.values[addr]
+        except KeyError:
+            raise AddressError(
+                f"load from unwritten address {addr:#x} (pc={pc:#x})"
+            ) from None
+        returned = self._serve_load(pc, addr, actual, True, is_float)
+        if self.recorder is not None:
+            self.recorder.on_load(self._tid, pc, addr, actual, is_float, True)
+        return returned
+
+    # -- shared mechanics ----------------------------------------------- #
 
     @abc.abstractmethod
     def _serve_load(

@@ -87,12 +87,16 @@ class Blackscholes(Workload):
         region_vol = mem.space.alloc("vol", n)
         region_time = mem.space.alloc("time", n)
         region_type = mem.space.alloc("otype", n)
-        for i in range(n):
-            mem.store(region_spot.addr(i), float(spots[i]))
-            mem.store(region_strike.addr(i), float(strikes[i]))
-            mem.store(region_vol.addr(i), float(vols[i]))
-            mem.store(region_time.addr(i), float(times[i]))
-            mem.store(region_type.addr(i), int(is_call[i]))
+        options = zip(
+            spots.tolist(), strikes.tolist(), vols.tolist(), times.tolist(),
+            is_call.tolist(),
+        )
+        for i, (spot, strike, vol, time, call) in enumerate(options):
+            mem.store(region_spot.addr(i), spot)
+            mem.store(region_strike.addr(i), strike)
+            mem.store(region_vol.addr(i), vol)
+            mem.store(region_time.addr(i), time)
+            mem.store(region_type.addr(i), int(call))
 
         pc_spot = self.pcs.site("load_spot")
         pc_strike = self.pcs.site("load_strike")
@@ -100,18 +104,21 @@ class Blackscholes(Workload):
         pc_time = self.pcs.site("load_time")
         pc_type = self.pcs.site("load_otype")
 
+        load = mem.load
+        load_approx = mem.load_approx
+        advance = mem.advance
         prices: List[float] = []
         for i in range(n):
             mem.set_thread(i % self.threads)
-            spot = mem.load_approx(pc_spot, region_spot.addr(i))
-            strike = mem.load_approx(pc_strike, region_strike.addr(i))
-            vol = mem.load_approx(pc_vol, region_vol.addr(i))
-            time = mem.load_approx(pc_time, region_time.addr(i))
+            spot = load_approx(pc_spot, region_spot.addr(i))
+            strike = load_approx(pc_strike, region_strike.addr(i))
+            vol = load_approx(pc_vol, region_vol.addr(i))
+            time = load_approx(pc_time, region_time.addr(i))
             # The option type drives control flow, so it is loaded precisely
             # (Section IV: never approximate data that directly steers
             # control flow).
-            call = mem.load(pc_type, region_type.addr(i))
-            mem.advance(cost)
+            call = load(pc_type, region_type.addr(i))
+            advance(cost)
             prices.append(
                 black_scholes_price(spot, strike, _RATE, vol, time, bool(call))
             )

@@ -137,6 +137,13 @@ class Bodytrack(Workload):
         diffusion = rng.normal(0, 2.0, size=(timesteps, layers, n_particles, 2))
         resample_u = rng.random(size=(timesteps, layers))
 
+        # The kernel below runs on Python numbers: the sampling pattern and
+        # each layer's particle rows are converted once, not indexed per read.
+        offsets = pattern.tolist()
+        load = mem.load
+        load_approx = mem.load_approx
+        advance = mem.advance
+
         start = self._true_path(0)
         particles = np.full((n_particles, 2), start, dtype=float)
         particles += rng.normal(0, 3.0, size=particles.shape)
@@ -157,30 +164,37 @@ class Bodytrack(Workload):
 
             for layer in range(layers):
                 weights = np.zeros(n_particles)
+                rows = particles.tolist()
                 for p in range(n_particles):
                     mem.set_thread(p % self.threads)
                     err = 0.0
-                    px, py = particles[p]
+                    px, py = rows[p]
+                    # The sample cells depend only on the particle, so
+                    # every camera reads the same ones.
+                    cells = [
+                        (int(round(py + oy)) % height) * width
+                        + int(round(px + ox)) % width
+                        for ox, oy in offsets
+                    ]
                     for c in range(cameras):
+                        region = regions[c]
+                        edge_region = edge_regions[c]
+                        camera_pcs = pcs[c]
+                        camera_edge_pcs = edge_pcs[c]
                         for k in range(n_points):
-                            x = int(round(px + pattern[k, 0])) % width
-                            y = int(round(py + pattern[k, 1])) % height
-                            pixel = mem.load_approx(
-                                pcs[c][k], regions[c].addr(y * width + x),
-                                is_float=False,
+                            cell = cells[k]
+                            pixel = load_approx(
+                                camera_pcs[k], region.addr(cell), is_float=False
                             )
                             diff = (pixel - _BODY_INTENSITY) / 255.0
                             err += diff * diff
                             if k % 4 == 0:
-                                edge = mem.load(
-                                    edge_pcs[c][k // 4],
-                                    edge_regions[c].addr(y * width + x),
-                                )
+                                edge = load(camera_edge_pcs[k // 4], edge_region.addr(cell))
                                 err += 0.1 * (edge / 255.0) ** 2
                             # Per-sample error arithmetic interleaves with
                             # the pixel loads.
-                            mem.advance(3)
-                    mem.advance(cost - 3 * cameras * n_points)
+                            advance(3)
+                    advance(cost - 3 * cameras * n_points)
                     # Annealed likelihood: later layers sharpen the peak.
                     beta = 0.5 * (layer + 1)
                     weights[p] = math.exp(-beta * err / (cameras * n_points) * 40.0)

@@ -81,14 +81,18 @@ class Canneal(Workload):
         pos = np.stack([cells % width, cells // width], axis=1).astype(np.int64)
         nets = rng.integers(0, n, size=(n, fanout))
 
+        # The annealer works on Python ints: ``place[i]`` is block i's
+        # [x, y], and the final placement goes back to int64 for scoring.
+        place = pos.tolist()
         region_x = mem.space.alloc("block_x", n)
         region_y = mem.space.alloc("block_y", n)
         region_net = mem.space.alloc("netlist", n * fanout)
-        for i in range(n):
-            mem.store(region_x.addr(i), int(pos[i, 0]))
-            mem.store(region_y.addr(i), int(pos[i, 1]))
+        store = mem.store
+        for i, ((x, y), net) in enumerate(zip(place, nets.tolist())):
+            store(region_x.addr(i), x)
+            store(region_y.addr(i), y)
             for k in range(fanout):
-                mem.store(region_net.addr(i * fanout + k), int(nets[i, k]))
+                store(region_net.addr(i * fanout + k), net[k])
 
         pc_x = [self.pcs.site(f"fan_x_{k}") for k in range(fanout)]
         pc_y = [self.pcs.site(f"fan_y_{k}") for k in range(fanout)]
@@ -96,50 +100,55 @@ class Canneal(Workload):
 
         # Pre-draw every random number so the stream cannot diverge between
         # precise and approximate runs.
-        picks_a = rng.integers(0, n, size=steps)
-        picks_b = rng.integers(0, n, size=steps)
-        accept_draws = rng.random(steps)
+        picks_a = rng.integers(0, n, size=steps).tolist()
+        picks_b = rng.integers(0, n, size=steps).tolist()
+        accept_draws = rng.random(steps).tolist()
+
+        load = mem.load
+        load_approx = mem.load_approx
+        advance = mem.advance
+        per_net = cost // (2 * fanout)
 
         def swap_delta(block: int, other: int) -> int:
             """Cost delta for moving ``block`` to ``other``'s position,
             reading neighbour coordinates through approximate loads."""
-            bx, by = int(pos[block, 0]), int(pos[block, 1])
-            ox, oy = int(pos[other, 0]), int(pos[other, 1])
+            bx, by = place[block]
+            ox, oy = place[other]
             delta = 0
             for k in range(fanout):
                 # The net pointer is a memory index and must never be
                 # approximated (Section IV); it is a precise load.
-                neighbour = mem.load(pc_net[k], region_net.addr(block * fanout + k))
-                nx = mem.load_approx(pc_x[k], region_x.addr(neighbour), is_float=False)
-                ny = mem.load_approx(pc_y[k], region_y.addr(neighbour), is_float=False)
+                neighbour = load(pc_net[k], region_net.addr(block * fanout + k))
+                nx = load_approx(pc_x[k], region_x.addr(neighbour), is_float=False)
+                ny = load_approx(pc_y[k], region_y.addr(neighbour), is_float=False)
                 # Distance arithmetic interleaves with the loads (the cost
                 # function's real instruction mix).
-                mem.advance(cost // (2 * fanout))
+                advance(per_net)
                 delta += (abs(ox - nx) + abs(oy - ny)) - (abs(bx - nx) + abs(by - ny))
             return delta
 
         for step in range(steps):
             mem.set_thread(step % self.threads)
-            a = int(picks_a[step])
-            b = int(picks_b[step])
+            a = picks_a[step]
+            b = picks_b[step]
             if a == b:
-                mem.advance(cost - 2 * fanout * (cost // (2 * fanout)))
+                advance(cost - 2 * fanout * per_net)
                 temperature *= cooling
                 continue
             delta = swap_delta(a, b) + swap_delta(b, a)
-            mem.advance(cost - 2 * fanout * (cost // (2 * fanout)))
+            advance(cost - 2 * fanout * per_net)
             accept = delta < 0 or accept_draws[step] < math.exp(
                 -delta / max(temperature, 1e-9)
             )
             if accept:
-                pos[[a, b]] = pos[[b, a]]
-                mem.store(region_x.addr(a), int(pos[a, 0]))
-                mem.store(region_y.addr(a), int(pos[a, 1]))
-                mem.store(region_x.addr(b), int(pos[b, 0]))
-                mem.store(region_y.addr(b), int(pos[b, 1]))
+                place[a], place[b] = place[b], place[a]
+                store(region_x.addr(a), place[a][0])
+                store(region_y.addr(a), place[a][1])
+                store(region_x.addr(b), place[b][0])
+                store(region_y.addr(b), place[b][1])
             temperature *= cooling
 
-        return self._routing_cost(pos, nets)
+        return self._routing_cost(np.array(place, dtype=np.int64), nets)
 
     def output_error(self, precise: float, approx: float) -> float:
         """Relative difference in final routing cost (Section IV-A)."""

@@ -78,9 +78,9 @@ class Ferret(Workload):
         # contributes background precise misses like the real ferret's
         # metadata traversal.
         region_meta = mem.space.alloc("segment_meta", n, itemsize=64)
-        for i in range(n):
+        for i, row in enumerate(database.tolist()):
             for d in range(dims):
-                mem.store(region.addr(i * dims + d), float(database[i, d]))
+                mem.store(region.addr(i * dims + d), row[d])
             mem.store(region_meta.addr(i), i)
 
         # One static PC per dimension of the distance loop — the paper notes
@@ -88,22 +88,24 @@ class Ferret(Workload):
         pcs = [self.pcs.site(f"feature_dim_{d}") for d in range(dims)]
         pc_meta = self.pcs.site("segment_meta")
 
+        load = mem.load
+        load_approx = mem.load_approx
+        advance = mem.advance
         results: List[Set[int]] = []
-        for q in range(n_queries):
+        for q, query in enumerate(queries.tolist()):
             mem.set_thread(q % self.threads)
-            query = queries[q]
             distances = np.empty(n)
             for i in range(n):
                 # Walk the segment descriptor first (a precise pointer-like
                 # load), then the feature vector (annotated approximate).
-                entry = mem.load(pc_meta, region_meta.addr(i))
+                entry = load(pc_meta, region_meta.addr(i))
                 dist = 0.0
                 base = entry * dims
                 for d in range(dims):
-                    value = mem.load_approx(pcs[d], region.addr(base + d))
+                    value = load_approx(pcs[d], region.addr(base + d))
                     diff = value - query[d]
                     dist += diff * diff
-                mem.advance(cost)
+                advance(cost)
                 distances[i] = dist
             order = np.argsort(distances, kind="stable")
             results.append(set(int(i) for i in order[:top_k]))

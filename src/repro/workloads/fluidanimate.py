@@ -66,10 +66,12 @@ class Fluidanimate(Workload):
         # simulates in un-normalised world space, which matters for the
         # relative confidence window.
         origin = 8.0
-        px = rng.uniform(origin + 0.05, origin + 0.55, size=n)
-        py = rng.uniform(origin + 0.05, origin + 0.95, size=n)
-        vx = np.zeros(n)
-        vy = np.zeros(n)
+        # Positions and velocities become Python floats once. Densities
+        # stay an array: assigning into it casts to its dtype.
+        px = rng.uniform(origin + 0.05, origin + 0.55, size=n).tolist()
+        py = rng.uniform(origin + 0.05, origin + 0.95, size=n).tolist()
+        vx = [0.0] * n
+        vy = [0.0] * n
         rho = np.full(n, rest)
 
         region_x = mem.space.alloc("px", n, itemsize=stride)
@@ -80,8 +82,8 @@ class Fluidanimate(Workload):
         region_idx = mem.space.alloc("cell_entries", n)
 
         def publish(i: int) -> None:
-            mem.store(region_x.addr(i), float(px[i]))
-            mem.store(region_y.addr(i), float(py[i]))
+            mem.store(region_x.addr(i), px[i])
+            mem.store(region_y.addr(i), py[i])
             mem.store(region_rho.addr(i), float(rho[i]))
 
         for i in range(n):
@@ -128,6 +130,9 @@ class Fluidanimate(Workload):
                         found.extend(range(start, start + count))
             return found
 
+        load = mem.load
+        load_approx = mem.load_approx
+        advance = mem.advance
         h2 = h * h
         for step in range(steps):
             spans = build_cells()
@@ -136,12 +141,13 @@ class Fluidanimate(Workload):
             for i in range(n):
                 mem.set_thread(i % self.threads)
                 density = 0.0
+                xi, yi = px[i], py[i]
                 for slot in neighbour_slots(i, spans):
-                    j = mem.load(pc_idx, region_idx.addr(slot))
-                    xj = mem.load_approx(pc_dx, region_x.addr(j))
-                    yj = mem.load_approx(pc_dy, region_y.addr(j))
-                    mem.advance(cost)
-                    r2 = (px[i] - xj) ** 2 + (py[i] - yj) ** 2
+                    j = load(pc_idx, region_idx.addr(slot))
+                    xj = load_approx(pc_dx, region_x.addr(j))
+                    yj = load_approx(pc_dy, region_y.addr(j))
+                    advance(cost)
+                    r2 = (xi - xj) ** 2 + (yi - yj) ** 2
                     if r2 < h2:
                         w = 1.0 - r2 / h2
                         density += w * w * w
@@ -152,17 +158,18 @@ class Fluidanimate(Workload):
             for i in range(n):
                 mem.set_thread(i % self.threads)
                 ax, ay = 0.0, gravity
-                pressure_i = stiffness * (rho[i] - rest)
+                pressure_i = stiffness * (rho[i].item() - rest)
+                xi, yi = px[i], py[i]
                 for slot in neighbour_slots(i, spans):
-                    j = mem.load(pc_idx, region_idx.addr(slot))
+                    j = load(pc_idx, region_idx.addr(slot))
                     if j == i:
                         continue
-                    xj = mem.load_approx(pc_fx, region_x.addr(j))
-                    yj = mem.load_approx(pc_fy, region_y.addr(j))
-                    rho_j = mem.load_approx(pc_frho, region_rho.addr(j))
-                    mem.advance(cost)
-                    dx = px[i] - xj
-                    dy = py[i] - yj
+                    xj = load_approx(pc_fx, region_x.addr(j))
+                    yj = load_approx(pc_fy, region_y.addr(j))
+                    rho_j = load_approx(pc_frho, region_rho.addr(j))
+                    advance(cost)
+                    dx = xi - xj
+                    dy = yi - yj
                     r2 = dx * dx + dy * dy
                     if 1e-12 < r2 < h2:
                         r = r2 ** 0.5

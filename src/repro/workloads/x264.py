@@ -99,6 +99,10 @@ class X264(Workload):
         ]
         cur_pcs = [self.pcs.site(f"cur_p{k}") for k in range(n_points)]
 
+        store = mem.store
+        load = mem.load
+        load_approx = mem.load_approx
+        advance = mem.advance
         total_sq_residual = 0.0
         total_mv_bits = 0.0
         n_pixels = 0
@@ -106,12 +110,14 @@ class X264(Workload):
         for f in range(1, len(sequence)):
             reference = sequence[f - 1]
             current = sequence[f]
-            # "Decode" the reference and capture the current frame.
-            flat = reference.ravel()
-            flat_cur = current.ravel()
-            for idx in range(flat.size):
-                mem.store(reference_region.addr(idx), int(flat[idx]))
-                mem.store(current_region.addr(idx), int(flat_cur[idx]))
+            # "Decode" the reference and capture the current frame. The two
+            # stay interleaved: from the third frame on these are write
+            # hits on resident blocks, and their order moves LRU stamps.
+            for idx, (ref_value, cur_value) in enumerate(
+                zip(reference.ravel().tolist(), current.ravel().tolist())
+            ):
+                store(reference_region.addr(idx), ref_value)
+                store(current_region.addr(idx), cur_value)
 
             for by in range(0, height - block + 1, block):
                 for bx in range(0, width - block + 1, block):
@@ -127,19 +133,19 @@ class X264(Workload):
                             for k, (px, py) in enumerate(points):
                                 rx = (bx + px + mvx) % width
                                 ry = (by + py + mvy) % height
-                                ref_pixel = mem.load_approx(
+                                ref_pixel = load_approx(
                                     pcs[k][c],
                                     reference_region.addr(ry * width + rx),
                                     is_float=False,
                                 )
                                 # Current-frame pixels are being encoded and
                                 # are never annotated: a precise load.
-                                cur_pixel = mem.load(
+                                cur_pixel = load(
                                     cur_pcs[k],
                                     current_region.addr((by + py) * width + (bx + px)),
                                 )
                                 sad += abs(cur_pixel - ref_pixel)
-                            mem.advance(cost)
+                            advance(cost)
                             if sad < best_sad:
                                 best_sad = sad
                                 best_mv = (mvx, mvy)

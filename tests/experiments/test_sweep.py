@@ -165,6 +165,51 @@ class TestParallelEngine:
         assert dataclasses.asdict(parallel) == dataclasses.asdict(serial)
 
 
+class _CountingPool:
+    """A pool wrapper that records the peak number of unfinished futures."""
+
+    def __init__(self, pool):
+        self._pool = pool
+        self.futures = []
+        self.peak = 0
+
+    def submit(self, *args, **kwargs):
+        future = self._pool.submit(*args, **kwargs)
+        self.futures.append(future)
+        self.peak = max(self.peak, sum(not f.done() for f in self.futures))
+        return future
+
+    def __getattr__(self, name):
+        return getattr(self._pool, name)
+
+
+class TestInFlightCap:
+    @pytest.mark.parametrize(
+        "point_timeout, expected_peak",
+        [(None, 4), (60, 2)],
+        ids=["no-timeout-two-per-worker", "timeout-one-per-worker"],
+    )
+    def test_peak_unfinished_futures(
+        self, clean_caches, monkeypatch, point_timeout, expected_peak
+    ):
+        """Without a timeout a queued point waits behind each running one;
+        a timeout clock starts at submission, so it keeps one per worker."""
+        pools = []
+        new_pool = SweepEngine._new_pool
+
+        def counting_pool(engine):
+            pools.append(_CountingPool(new_pool(engine)))
+            return pools[-1]
+
+        monkeypatch.setattr(SweepEngine, "_new_pool", counting_pool)
+        engine = SweepEngine(jobs=2, point_timeout=point_timeout)
+        report = engine.execute(fig13.DRIVER.points(small=True))
+
+        assert not report.failures
+        assert report.technique_computed == 5
+        assert max(pool.peak for pool in pools) == expected_peak
+
+
 class TestRunnerIntegration:
     def test_every_swept_experiment_declares_points(self):
         for name, declare in runner.POINTS.items():

@@ -137,9 +137,17 @@ class TestStats:
         assert cache.resident_blocks == 0
 
 
+def address_lists(high, max_size):
+    """Address lists of a length uniform in [1, max_size]: plain st.lists
+    averages about six elements, too few to fill a set and evict."""
+    return st.integers(1, max_size).flatmap(
+        lambda n: st.lists(st.integers(0, high), min_size=n, max_size=n)
+    )
+
+
 class TestProperties:
     @settings(max_examples=30)
-    @given(st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=200))
+    @given(address_lists(0xFFFF, 200))
     def test_capacity_never_exceeded(self, addrs):
         cache = small_cache(assoc=2, sets=4)
         for addr in addrs:
@@ -148,7 +156,7 @@ class TestProperties:
         assert cache.resident_blocks <= 8
 
     @settings(max_examples=30)
-    @given(st.lists(st.integers(0, 0xFFF), min_size=1, max_size=100))
+    @given(address_lists(0xFFF, 100))
     def test_hits_plus_misses_equals_accesses(self, addrs):
         cache = small_cache()
         for addr in addrs:
@@ -157,7 +165,7 @@ class TestProperties:
         assert cache.stats.hits + cache.stats.misses == cache.stats.accesses
 
     @settings(max_examples=30)
-    @given(st.lists(st.integers(0, 0x1FFF), min_size=1, max_size=100))
+    @given(address_lists(0x1FFF, 100))
     def test_immediate_refetch_always_hits(self, addrs):
         cache = small_cache()
         for addr in addrs:
