@@ -24,8 +24,8 @@ data, safe to stash, compare and serialize. The helpers:
   :class:`~repro.core.approximator.LoadValueApproximator` by default)
   to drive by hand;
 * :func:`audit` — annotation audit of a workload (Section IV);
-* :func:`run_experiment` — any table/figure by runner name, through the
-  :class:`~repro.experiments.common.ExperimentDriver` protocol;
+* :func:`run_experiment` — any table/figure by runner name, through its
+  :class:`~repro.experiments.common.Driver`;
 * :func:`replay` — a captured trace through the phase-2 full-system
   platform.
 """
@@ -411,8 +411,7 @@ def run_experiment(
     """Run one table/figure by its runner name (``fig4``, ``table1``...).
 
     The programmatic mirror of ``python -m repro.experiments NAME``,
-    speaking the :class:`~repro.experiments.common.ExperimentDriver`
-    protocol.
+    through the experiment's :class:`~repro.experiments.common.Driver`.
     """
     from repro.experiments.common import averaged
     from repro.experiments.runner import DRIVERS

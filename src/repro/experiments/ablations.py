@@ -26,8 +26,8 @@ from repro.experiments.common import (
     Driver,
     ExperimentResult,
     run_technique,
+    technique_point,
 )
-from repro.experiments.sweep import technique_point
 from repro.sim.tracesim import Mode
 
 TABLE_SIZES: Tuple[int, ...] = (32, 64, 128, 256, 512)
@@ -206,7 +206,7 @@ def _confidence_steps(small: bool = False, seed: int = 0) -> ExperimentResult:
     return result
 
 
-#: One :class:`~repro.experiments.common.ExperimentDriver` per ablation.
+#: One :class:`~repro.experiments.common.Driver` per ablation.
 DRIVERS = {
     "ablate-table-size": Driver(name="ablate-table-size", render_fn=_table_size, points_fn=_table_size_points),
     "ablate-lhb-size": Driver(name="ablate-lhb-size", render_fn=_lhb_size, points_fn=_lhb_size_points),

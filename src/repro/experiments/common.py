@@ -10,28 +10,21 @@ The paper's two-phase methodology is mirrored exactly:
   the precise run and replay it through :class:`FullSystemSimulator` with
   and without approximation.
 
-Precise reference runs are cached per (workload, seed, scale) because every
-sweep point needs the same baseline.
+Every run is a :class:`SweepPoint` of one of three kinds — a precise
+baseline, a technique run scored against it, or a full-system replay —
+and :func:`point_cache_key` is its one identity. The run functions and
+the sweep engine share it: one result memo (``_RESULTS``), one memo →
+disk → compute path (:func:`_cached`), so a result the engine backfills
+is the one a driver's ``render()`` finds.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Protocol,
-    Tuple,
-    Union,
-    runtime_checkable,
-)
+from collections import Counter, OrderedDict
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro import faults, telemetry
 from repro.core.config import ApproximatorConfig
@@ -42,9 +35,6 @@ from repro.fullsystem import FullSystemConfig, FullSystemResult, FullSystemSimul
 from repro.sim.trace import PackedTrace, Trace, TraceRecorder
 from repro.sim.tracesim import Mode, TraceSimulator
 from repro.workloads.registry import get_workload, workload_names
-
-if TYPE_CHECKING:  # avoid the common <-> sweep import cycle at runtime
-    from repro.experiments.sweep import SweepPoint
 
 #: Canonical workload order used by every figure.
 BASELINE_WORKLOADS: Tuple[str, ...] = tuple(workload_names())
@@ -116,25 +106,6 @@ class ExperimentResult:
         lines.append(f"{'average':<{width}} {averages}")
         return "\n".join(lines)
 
-    def format_chart(self, label: str, bar_width: int = 48) -> str:
-        """Render one series as a horizontal ASCII bar chart.
-
-        Handy for eyeballing a figure's shape straight from the CLI
-        without any plotting dependency.
-        """
-        series = self.series[label]
-        if not series:
-            return f"{self.name} / {label}: (empty)"
-        peak = max(abs(v) for v in series.values()) or 1.0
-        name_width = max(len(k) for k in series)
-        lines = [f"{self.name} — {label} (full bar = {peak:.4g})"]
-        for workload, value in series.items():
-            filled = int(round(abs(value) / peak * bar_width))
-            bar = "#" * filled
-            sign = "-" if value < 0 else ""
-            lines.append(f"{workload:<{name_width}} |{bar:<{bar_width}}| {sign}{abs(value):.4f}")
-        return "\n".join(lines)
-
 
 def averaged(
     driver: "Callable[..., ExperimentResult]",
@@ -164,32 +135,19 @@ def averaged(
     return merged
 
 
-@runtime_checkable
-class ExperimentDriver(Protocol):
+@dataclass(frozen=True)
+class Driver:
     """The one experiment-driver contract.
 
     Every figure/table module exposes one ``DRIVER`` (the ablations
     module a ``DRIVERS`` mapping); the runner, the sweep engine and
-    programmatic callers all speak to this protocol:
+    programmatic callers all go through it:
 
     * :meth:`points` — declare the sweep points this experiment needs
-      (empty for experiments that cannot be decomposed, e.g. the
-      full-system replays);
-    * :meth:`render` — assemble the figure/table from the result caches
-      the sweep engine warmed, computing any point they lack.
+      (empty for experiments that cannot be decomposed, e.g. Table II);
+    * :meth:`render` — assemble the figure/table from the result memo
+      the sweep engine warmed, computing any point it lacks.
     """
-
-    name: str
-
-    def points(self, small: bool = False, seed: int = 0) -> "List[SweepPoint]": ...
-
-    def render(self, small: bool = False, seed: int = 0) -> ExperimentResult: ...
-
-
-@dataclass(frozen=True)
-class Driver:
-    """Concrete :class:`ExperimentDriver` wrapping a driver module's
-    render and point-declaration functions."""
 
     name: str
     render_fn: Callable[..., ExperimentResult]
@@ -215,7 +173,132 @@ def geometric_mean(values: Iterable[float]) -> float:
 
 
 # --------------------------------------------------------------------- #
-# Phase 1                                                               #
+# Sweep points                                                          #
+# --------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    """One unit of sweep work: a single simulator run, fully specified.
+
+    ``mode=None`` marks a precise-baseline-only point (e.g. Table I's
+    precise column, Figure 1's reference run); any technique point
+    implies its own precise baseline automatically. ``faults`` is an
+    optional memory-fault spec (see :mod:`repro.faults`) applied to the
+    technique run — baselines always execute clean.
+
+    ``fullsystem=True`` marks a phase-2 replay point
+    (:func:`run_fullsystem_point`): the captured trace replays through
+    the Table II platform, precisely (``approximate=False``) or with
+    per-core LVA (``approximate=True``, degree from ``config``).
+    Full-system points depend on their *trace capture* instead of a
+    precise phase-1 baseline.
+    """
+
+    workload: str
+    mode: Optional[Mode] = None
+    config: Optional[ApproximatorConfig] = None
+    prefetch_degree: int = 4
+    seed: int = 0
+    small: bool = False
+    #: Workload parameter overrides as a sorted items tuple (hashable).
+    params: Tuple[Tuple[str, object], ...] = ()
+    #: Memory-fault spec for this point ("" = clean).
+    faults: str = ""
+    #: Phase-2 replay point (see class docstring).
+    fullsystem: bool = False
+    #: Replay with approximation enabled (full-system points only).
+    approximate: bool = False
+
+    @property
+    def kind(self) -> str:
+        """``"precise"``, ``"technique"`` or ``"fullsystem"``."""
+        if self.fullsystem:
+            return "fullsystem"
+        return "precise" if self.mode is None else "technique"
+
+    def params_dict(self) -> Optional[dict]:
+        return dict(self.params) if self.params else None
+
+    def baseline(self) -> "SweepPoint":
+        """The precise-baseline point this point depends on (always clean)."""
+        return SweepPoint(
+            workload=self.workload,
+            seed=self.seed,
+            small=self.small,
+            params=self.params,
+        )
+
+    def describe(self) -> str:
+        if self.fullsystem:
+            mode = "fullsystem-lva" if self.approximate else "fullsystem-baseline"
+        else:
+            mode = self.mode.value if self.mode is not None else "precise"
+        text = f"{self.workload}/{mode}/seed={self.seed}"
+        if self.faults:
+            text += f"/faults={self.faults}"
+        return text
+
+
+def technique_point(
+    workload: str,
+    mode: Mode,
+    config: Optional[ApproximatorConfig] = None,
+    prefetch_degree: int = 4,
+    seed: int = 0,
+    small: bool = False,
+    params: Optional[dict] = None,
+    faults: str = "",
+) -> SweepPoint:
+    """A point mirroring one :func:`run_technique` call."""
+    return SweepPoint(
+        workload=workload,
+        mode=mode,
+        config=config,
+        prefetch_degree=prefetch_degree,
+        seed=seed,
+        small=small,
+        params=tuple(sorted((params or {}).items())),
+        faults=faults,
+    )
+
+
+def precise_point(
+    workload: str, seed: int = 0, small: bool = False, params: Optional[dict] = None
+) -> SweepPoint:
+    """A point mirroring one :func:`run_precise_reference` call."""
+    return SweepPoint(
+        workload=workload,
+        seed=seed,
+        small=small,
+        params=tuple(sorted((params or {}).items())),
+    )
+
+
+def fullsystem_point(
+    workload: str,
+    config: Optional[ApproximatorConfig] = None,
+    approximate: Optional[bool] = None,
+    seed: int = 0,
+    small: bool = False,
+) -> SweepPoint:
+    """A point mirroring one :func:`run_fullsystem_point` call.
+
+    ``approximate`` defaults to whether a config was given (a configured
+    replay is an LVA replay; a bare one is the precise baseline).
+    """
+    return SweepPoint(
+        workload=workload,
+        config=config,
+        seed=seed,
+        small=small,
+        fullsystem=True,
+        approximate=config is not None if approximate is None else approximate,
+    )
+
+
+# --------------------------------------------------------------------- #
+# Results                                                               #
 # --------------------------------------------------------------------- #
 
 @dataclass
@@ -231,9 +314,7 @@ class PreciseReference:
 def failed_precise_reference(message: str) -> PreciseReference:
     """A baseline placeholder for a permanently failed sweep point.
 
-    Backfilled into the in-memory cache only (never the disk cache) so
-    drivers can still assemble their tables — every dependent cell
-    renders as FAILED via NaN.
+    Every dependent cell renders as FAILED via NaN.
     """
     return PreciseReference(
         output={"failed": message},
@@ -243,52 +324,83 @@ def failed_precise_reference(message: str) -> PreciseReference:
     )
 
 
-_PRECISE_CACHE: Dict[Tuple[str, int, bool, tuple], PreciseReference] = {}
-
-
-#: Per-process counts of simulations actually *executed* (cache misses all
-#: the way down). The sweep engine aggregates these across workers to
-#: verify its exactly-once guarantee for precise baselines.
 @dataclass
-class ComputeCounters:
-    """How many results this process computed vs. served from a cache."""
+class TechniqueResult:
+    """One phase-1 measurement of a technique against its precise baseline."""
 
-    precise_computed: int = 0
-    precise_memory_hits: int = 0
-    precise_disk_hits: int = 0
-    technique_computed: int = 0
-    technique_memory_hits: int = 0
-    technique_disk_hits: int = 0
-    traces_captured: int = 0
-    trace_memory_hits: int = 0
-    trace_store_hits: int = 0
-    fullsystem_computed: int = 0
-    fullsystem_memory_hits: int = 0
-    fullsystem_disk_hits: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "precise_computed": self.precise_computed,
-            "precise_memory_hits": self.precise_memory_hits,
-            "precise_disk_hits": self.precise_disk_hits,
-            "technique_computed": self.technique_computed,
-            "technique_memory_hits": self.technique_memory_hits,
-            "technique_disk_hits": self.technique_disk_hits,
-            "traces_captured": self.traces_captured,
-            "trace_memory_hits": self.trace_memory_hits,
-            "trace_store_hits": self.trace_store_hits,
-            "fullsystem_computed": self.fullsystem_computed,
-            "fullsystem_memory_hits": self.fullsystem_memory_hits,
-            "fullsystem_disk_hits": self.fullsystem_disk_hits,
-        }
+    normalized_mpki: float
+    normalized_fetches: float
+    output_error: float
+    coverage: float
+    instruction_variation: float
+    static_approx_pcs: int
+    raw: dict
 
 
-COMPUTE_COUNTERS = ComputeCounters()
+def failed_technique_result(message: str) -> TechniqueResult:
+    """A placeholder for a technique point that exhausted its retries.
+
+    NaN metric fields render as FAILED cells; the failure reason rides
+    along in ``raw``.
+    """
+    nan = float("nan")
+    return TechniqueResult(
+        normalized_mpki=nan,
+        normalized_fetches=nan,
+        output_error=nan,
+        coverage=nan,
+        instruction_variation=nan,
+        static_approx_pcs=0,
+        raw={"failed": True, "error": message},
+    )
 
 
-def _workload(name: str, small: bool, params: Optional[dict] = None):
-    return get_workload(name, params=params, small=small)
+def failed_fullsystem_result(message: str) -> FullSystemResult:
+    """A placeholder for a full-system point that exhausted its retries.
 
+    NaN timing/energy fields render as FAILED cells through the figure
+    drivers' ratio properties.
+    """
+    nan = float("nan")
+    return FullSystemResult(
+        cycles=nan,
+        instructions=0,
+        loads=0,
+        raw_misses=0,
+        covered_misses=0,
+        fetches=0,
+        l2_accesses=0,
+        memory_accesses=0,
+        noc_flit_hops=0,
+        approximator_accesses=0,
+        total_miss_latency=nan,
+        energy=EnergyBreakdown(),
+        core_cycles=[],
+        failure=message,
+    )
+
+
+#: The result type of each point kind. A disk-cache entry of another
+#: type is a miss.
+RESULT_TYPES: Dict[str, type] = {
+    "precise": PreciseReference,
+    "technique": TechniqueResult,
+    "fullsystem": FullSystemResult,
+}
+
+#: The placeholder of each point kind for a point that exhausted its
+#: retries. The sweep engine memoizes it in this process only, never on
+#: disk, so drivers can still assemble their tables.
+FAILED_RESULTS: Dict[str, Callable[[str], object]] = {
+    "precise": failed_precise_reference,
+    "technique": failed_technique_result,
+    "fullsystem": failed_fullsystem_result,
+}
+
+
+# --------------------------------------------------------------------- #
+# Point identity                                                        #
+# --------------------------------------------------------------------- #
 
 def _precise_disk_key(
     name: str, seed: int, small: bool, params_items: tuple
@@ -334,95 +446,169 @@ def technique_disk_key(
     return diskcache.point_key("technique", **components)
 
 
+def fullsystem_disk_key(
+    name: str,
+    approximate: bool,
+    config: Optional[ApproximatorConfig],
+    seed: int,
+    small: bool,
+) -> str:
+    """The disk-cache key of one full-system replay point.
+
+    The trace schema version participates so replay results computed
+    from an older trace format can never outlive it.
+    """
+    return diskcache.point_key(
+        "fullsystem",
+        workload=name,
+        approximate=approximate,
+        config=config if config is not None else ApproximatorConfig(),
+        seed=seed,
+        small=small,
+        trace_schema=tracestore.TRACE_SCHEMA_VERSION,
+    )
+
+
+def _point_fault_spec(point: SweepPoint) -> str:
+    """The canonical memory-fault spec this point's run will see."""
+    if not point.faults:
+        return faults.active_memory_spec()
+    with faults.memory_faults(point.faults):
+        return faults.active_memory_spec()
+
+
+def point_disk_key(point: SweepPoint) -> str:
+    """The disk-cache (and journal) key of one sweep point."""
+    if point.fullsystem:
+        return fullsystem_disk_key(
+            point.workload,
+            point.approximate,
+            point.config,
+            point.seed,
+            point.small,
+        )
+    if point.mode is not None:
+        return technique_disk_key(
+            point.workload,
+            point.mode,
+            point.config,
+            point.prefetch_degree,
+            point.seed,
+            point.small,
+            point.params,
+            _point_fault_spec(point),
+            predictor_registry.active_override(point.mode.value),
+        )
+    return _precise_disk_key(point.workload, point.seed, point.small, point.params)
+
+
+def point_cache_key(point: SweepPoint) -> tuple:
+    """The in-process identity of a point: its key in the result memo.
+
+    A precise or full-system point is its own key. A technique run also
+    sees the active memory-fault spec and the ``REPRO_PREDICTOR``
+    override, so its key holds the point with ``faults`` set to the
+    canonical active spec, and the override: the two values
+    :func:`technique_disk_key` folds in. The point is copied only when
+    its spec is not already canonical, which keeps a memo hit cheap.
+    """
+    if point.mode is None or point.fullsystem:
+        return (point,)
+    spec = _point_fault_spec(point)
+    if spec != point.faults:
+        point = replace(point, faults=spec)
+    return (point, predictor_registry.active_override(point.mode.value))
+
+
+# --------------------------------------------------------------------- #
+# The result memo                                                       #
+# --------------------------------------------------------------------- #
+
+#: Every point result this process computed, read from disk or had
+#: backfilled by the sweep engine, keyed by :func:`point_cache_key`.
+_RESULTS: Dict[tuple, object] = {}
+
+#: Per-process counts of results computed (cache misses all the way
+#: down) and served from each cache: ``<kind>_computed``,
+#: ``<kind>_memory_hits`` and ``<kind>_disk_hits`` for each point kind,
+#: plus ``traces_captured``, ``trace_memory_hits`` and
+#: ``trace_store_hits``. The sweep engine sums per-task deltas across
+#: workers to check its exactly-once guarantee for precise baselines.
+COMPUTE_COUNTERS: Counter = Counter()
+
+
+def _cached(point: SweepPoint):
+    """One point's result: from the memo, the disk cache, or computed.
+
+    A computed result is memoized and written to the disk cache. The
+    simulations are deterministic, so every layer returns identical
+    data. Each kind's compute function is called directly: LVA008 walks
+    direct calls, and a callback would hide the replay from it.
+    """
+    kind = point.kind
+    key = point_cache_key(point)
+    cached = _RESULTS.get(key)
+    if cached is not None:
+        COMPUTE_COUNTERS[kind + "_memory_hits"] += 1
+        return cached
+    disk = diskcache.active_cache()
+    disk_key = None
+    if disk is not None:
+        disk_key = point_disk_key(point)
+        stored = disk.get(disk_key)
+        if isinstance(stored, RESULT_TYPES[kind]):
+            COMPUTE_COUNTERS[kind + "_disk_hits"] += 1
+            _RESULTS[key] = stored
+            return stored
+    if kind == "precise":
+        result = _compute_precise(point)
+    elif kind == "technique":
+        result = _compute_technique(point)
+    else:
+        result = _compute_fullsystem(point)
+    COMPUTE_COUNTERS[kind + "_computed"] += 1
+    _RESULTS[key] = result
+    if disk is not None:
+        disk.put(disk_key, result)
+    return result
+
+
+# --------------------------------------------------------------------- #
+# Phase 1                                                               #
+# --------------------------------------------------------------------- #
+
+def _workload(name: str, small: bool, params: Optional[dict] = None):
+    return get_workload(name, params=params, small=small)
+
+
 def run_precise_reference(
     name: str, seed: int = 0, small: bool = False, params: Optional[dict] = None
 ) -> PreciseReference:
     """Precise run through the phase-1 simulator.
 
-    Three cache layers are consulted in order: the in-process dict, the
+    Three cache layers are consulted in order: the in-process memo, the
     on-disk :mod:`~repro.experiments.diskcache` layer (shared across
     worker processes and invocations), then the simulation itself. The
     simulations are deterministic, so every layer returns identical data.
     """
-    params_items = tuple(sorted((params or {}).items()))
-    key = (name, seed, small, params_items)
-    cached = _PRECISE_CACHE.get(key)
-    if cached is not None:
-        COMPUTE_COUNTERS.precise_memory_hits += 1
-        return cached
-    disk = diskcache.active_cache()
-    disk_key = None
-    if disk is not None:
-        disk_key = _precise_disk_key(name, seed, small, params_items)
-        stored = disk.get(disk_key)
-        if isinstance(stored, PreciseReference):
-            COMPUTE_COUNTERS.precise_disk_hits += 1
-            _PRECISE_CACHE[key] = stored
-            return stored
+    return _cached(precise_point(name, seed, small, params))
+
+
+def _compute_precise(point: SweepPoint) -> PreciseReference:
     # Precise references always execute clean: injected memory faults are
     # suppressed so error under faults is measured against an
     # uncorrupted baseline.
     with faults.no_memory_faults():
-        workload = _workload(name, small, params)
+        workload = _workload(point.workload, point.small, point.params_dict())
         sim = TraceSimulator(Mode.PRECISE)
-        output = workload.execute(sim, seed)
+        output = workload.execute(sim, point.seed)
         stats = sim.finish()
-    reference = PreciseReference(
+    return PreciseReference(
         output=output,
         instructions=stats.instructions,
         mpki=stats.raw_mpki,
         fetches_per_ki=stats.fetches_per_kilo_instruction,
     )
-    COMPUTE_COUNTERS.precise_computed += 1
-    _PRECISE_CACHE[key] = reference
-    if disk is not None:
-        disk.put(disk_key, reference)
-    return reference
-
-
-@dataclass
-class TechniqueResult:
-    """One phase-1 measurement of a technique against its precise baseline."""
-
-    normalized_mpki: float
-    normalized_fetches: float
-    output_error: float
-    coverage: float
-    instruction_variation: float
-    static_approx_pcs: int
-    raw: dict
-
-
-def failed_technique_result(message: str) -> TechniqueResult:
-    """A placeholder for a technique point that exhausted its retries.
-
-    NaN metric fields render as FAILED cells; the failure reason rides
-    along in ``raw``. In-memory backfill only — never written to disk.
-    """
-    nan = float("nan")
-    return TechniqueResult(
-        normalized_mpki=nan,
-        normalized_fetches=nan,
-        output_error=nan,
-        coverage=nan,
-        instruction_variation=nan,
-        static_approx_pcs=0,
-        raw={"failed": True, "error": message},
-    )
-
-
-def is_failed(result: object) -> bool:
-    """True for the failure placeholders produced by the sweep engine."""
-    if isinstance(result, TechniqueResult):
-        return bool(result.raw.get("failed"))
-    if isinstance(result, PreciseReference):
-        return isinstance(result.output, dict) and "failed" in result.output
-    if isinstance(result, FullSystemResult):
-        return result.failure is not None
-    return False
-
-
-_TECHNIQUE_CACHE: Dict[tuple, TechniqueResult] = {}
 
 
 def run_technique(
@@ -442,35 +628,21 @@ def run_technique(
     evaluation in one process. Simulations are deterministic, making the
     cache semantically invisible.
     """
-    params_items = tuple(sorted((params or {}).items()))
-    fault_spec = faults.active_memory_spec()
-    predictor_override = predictor_registry.active_override(mode.value)
-    key = (
-        name, mode, config, prefetch_degree, seed, small, params_items,
-        fault_spec, predictor_override,
+    return _cached(
+        technique_point(name, mode, config, prefetch_degree, seed, small, params)
     )
-    cached = _TECHNIQUE_CACHE.get(key)
-    if cached is not None:
-        COMPUTE_COUNTERS.technique_memory_hits += 1
-        return cached
-    disk = diskcache.active_cache()
-    disk_key = None
-    if disk is not None:
-        disk_key = technique_disk_key(
-            name, mode, config, prefetch_degree, seed, small, params_items,
-            fault_spec, predictor_override,
-        )
-        stored = disk.get(disk_key)
-        if isinstance(stored, TechniqueResult):
-            COMPUTE_COUNTERS.technique_disk_hits += 1
-            _TECHNIQUE_CACHE[key] = stored
-            return stored
-    reference = run_precise_reference(name, seed, small, params)
-    workload = _workload(name, small, params)
+
+
+def _compute_technique(point: SweepPoint) -> TechniqueResult:
+    params = point.params_dict()
+    reference = run_precise_reference(point.workload, point.seed, point.small, params)
+    workload = _workload(point.workload, point.small, params)
     sim = TraceSimulator(
-        mode, approximator_config=config, prefetch_degree=prefetch_degree
+        point.mode,
+        approximator_config=point.config,
+        prefetch_degree=point.prefetch_degree,
     )
-    output = workload.execute(sim, seed)
+    output = workload.execute(sim, point.seed)
     stats = sim.finish()
     error = workload.output_error(reference.output, output)
     normalized_mpki = stats.mpki / reference.mpki if reference.mpki else 1.0
@@ -484,7 +656,7 @@ def run_technique(
         if reference.instructions
         else 0.0
     )
-    outcome = TechniqueResult(
+    return TechniqueResult(
         normalized_mpki=normalized_mpki,
         normalized_fetches=normalized_fetches,
         output_error=error,
@@ -493,11 +665,6 @@ def run_technique(
         static_approx_pcs=len(stats.static_approx_pcs),
         raw=stats.as_dict(),
     )
-    COMPUTE_COUNTERS.technique_computed += 1
-    _TECHNIQUE_CACHE[key] = outcome
-    if disk is not None:
-        disk.put(disk_key, outcome)
-    return outcome
 
 
 # --------------------------------------------------------------------- #
@@ -568,7 +735,7 @@ def capture_trace(name: str, seed: int = 0, small: bool = False) -> PackedTrace:
     key = (name, seed, small)
     cached = _TRACE_CACHE.get(key)
     if cached is not None:
-        COMPUTE_COUNTERS.trace_memory_hits += 1
+        COMPUTE_COUNTERS["trace_memory_hits"] += 1
         return cached
     store = tracestore.active_store()
     store_key = None
@@ -576,7 +743,7 @@ def capture_trace(name: str, seed: int = 0, small: bool = False) -> PackedTrace:
         store_key = trace_disk_key(name, seed, small)
         stored = store.get(store_key)
         if stored is not None:
-            COMPUTE_COUNTERS.trace_store_hits += 1
+            COMPUTE_COUNTERS["trace_store_hits"] += 1
             _TRACE_CACHE.put(key, stored)
             return stored
     params = PHASE2_PARAMS.get(name)
@@ -592,7 +759,7 @@ def capture_trace(name: str, seed: int = 0, small: bool = False) -> PackedTrace:
         sim.finish()
     packed = recorder.trace.pack()
     elapsed = time.perf_counter() - started  # lva: ignore[LVA008]
-    COMPUTE_COUNTERS.traces_captured += 1
+    COMPUTE_COUNTERS["traces_captured"] += 1
     if telemetry.enabled():
         registry = telemetry.metrics()
         registry.counter("trace.capture.count").add(1)
@@ -623,58 +790,6 @@ def run_fullsystem(
     return result
 
 
-def failed_fullsystem_result(message: str) -> FullSystemResult:
-    """A placeholder for a full-system point that exhausted its retries.
-
-    NaN timing/energy fields render as FAILED cells through the figure
-    drivers' ratio properties. In-memory backfill only — never written
-    to disk.
-    """
-    nan = float("nan")
-    return FullSystemResult(
-        cycles=nan,
-        instructions=0,
-        loads=0,
-        raw_misses=0,
-        covered_misses=0,
-        fetches=0,
-        l2_accesses=0,
-        memory_accesses=0,
-        noc_flit_hops=0,
-        approximator_accesses=0,
-        total_miss_latency=nan,
-        energy=EnergyBreakdown(),
-        core_cycles=[],
-        failure=message,
-    )
-
-
-_FULLSYSTEM_CACHE: Dict[tuple, FullSystemResult] = {}
-
-
-def fullsystem_disk_key(
-    name: str,
-    approximate: bool,
-    config: Optional[ApproximatorConfig],
-    seed: int,
-    small: bool,
-) -> str:
-    """The disk-cache key of one full-system replay point.
-
-    The trace schema version participates so replay results computed
-    from an older trace format can never outlive it.
-    """
-    return diskcache.point_key(
-        "fullsystem",
-        workload=name,
-        approximate=approximate,
-        config=config if config is not None else ApproximatorConfig(),
-        seed=seed,
-        small=small,
-        trace_schema=tracestore.TRACE_SCHEMA_VERSION,
-    )
-
-
 def run_fullsystem_point(
     name: str,
     approximate: bool = False,
@@ -684,32 +799,19 @@ def run_fullsystem_point(
 ) -> FullSystemResult:
     """One cached full-system replay (capture_trace + run_fullsystem).
 
-    The phase-2 analogue of :func:`run_technique`: in-process dict, then
+    The phase-2 analogue of :func:`run_technique`: in-process memo, then
     the shared disk cache, then the replay itself (whose trace comes from
     :func:`capture_trace`'s own three layers). Deterministic, so every
     layer returns identical data.
     """
-    key = (name, approximate, approximator, seed, small)
-    cached = _FULLSYSTEM_CACHE.get(key)
-    if cached is not None:
-        COMPUTE_COUNTERS.fullsystem_memory_hits += 1
-        return cached
-    disk = diskcache.active_cache()
-    disk_key = None
-    if disk is not None:
-        disk_key = fullsystem_disk_key(name, approximate, approximator, seed, small)
-        stored = disk.get(disk_key)
-        if isinstance(stored, FullSystemResult):
-            COMPUTE_COUNTERS.fullsystem_disk_hits += 1
-            _FULLSYSTEM_CACHE[key] = stored
-            return stored
-    trace = capture_trace(name, seed=seed, small=small)
-    result = run_fullsystem(trace, approximate=approximate, approximator=approximator)
-    COMPUTE_COUNTERS.fullsystem_computed += 1
-    _FULLSYSTEM_CACHE[key] = result
-    if disk is not None:
-        disk.put(disk_key, result)
-    return result
+    return _cached(fullsystem_point(name, approximator, approximate, seed, small))
+
+
+def _compute_fullsystem(point: SweepPoint) -> FullSystemResult:
+    trace = capture_trace(point.workload, seed=point.seed, small=point.small)
+    return run_fullsystem(
+        trace, approximate=point.approximate, approximator=point.config
+    )
 
 
 def reset_caches() -> None:
@@ -719,15 +821,12 @@ def reset_caches() -> None:
     and the compute counters, so a reset really does force fresh
     simulations.
     """
-    _PRECISE_CACHE.clear()
-    _TECHNIQUE_CACHE.clear()
+    _RESULTS.clear()
     _TRACE_CACHE.clear()
-    _FULLSYSTEM_CACHE.clear()
     disk = diskcache.active_cache()
     if disk is not None:
         disk.clear()
     store = tracestore.active_store()
     if store is not None:
         store.clear()
-    global COMPUTE_COUNTERS
-    COMPUTE_COUNTERS = ComputeCounters()
+    COMPUTE_COUNTERS.clear()

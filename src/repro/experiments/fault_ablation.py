@@ -20,8 +20,13 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro import faults
-from repro.experiments.common import Driver, ExperimentResult, run_technique
-from repro.experiments.sweep import SweepPoint, technique_point
+from repro.experiments.common import (
+    Driver,
+    ExperimentResult,
+    SweepPoint,
+    run_technique,
+    technique_point,
+)
 from repro.sim.tracesim import Mode
 
 #: (series tag, fault spec) — "" means clean execution.
@@ -71,6 +76,6 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     return result
 
 
-#: The :class:`~repro.experiments.common.ExperimentDriver` for this
+#: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
 DRIVER = Driver(name="ablate-memory-faults", render_fn=_render, points_fn=_points)

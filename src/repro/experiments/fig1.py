@@ -14,8 +14,12 @@ from __future__ import annotations
 import math
 from typing import List, Tuple
 
-from repro.experiments.common import Driver, ExperimentResult, run_precise_reference
-from repro.experiments.sweep import precise_point
+from repro.experiments.common import (
+    Driver,
+    ExperimentResult,
+    precise_point,
+    run_precise_reference,
+)
 from repro.sim.tracesim import Mode, TraceSimulator
 from repro.workloads.registry import get_workload
 
@@ -96,6 +100,6 @@ def render_frames(
     return precise_path, approx_path
 
 
-#: The :class:`~repro.experiments.common.ExperimentDriver` for this
+#: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
 DRIVER = Driver(name="fig1", render_fn=_render, points_fn=_points)

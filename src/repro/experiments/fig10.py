@@ -16,9 +16,10 @@ from repro.experiments.common import (
     BASELINE_WORKLOADS,
     Driver,
     ExperimentResult,
+    SweepPoint,
+    fullsystem_point,
     run_fullsystem_point,
 )
-from repro.experiments.sweep import SweepPoint, fullsystem_point
 
 DEGREES: Tuple[int, ...] = (0, 2, 4, 8, 16)
 
@@ -71,6 +72,6 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     return result
 
 
-#: The :class:`~repro.experiments.common.ExperimentDriver` for this
+#: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
 DRIVER = Driver(name="fig10", render_fn=_render, points_fn=_points)

@@ -13,8 +13,8 @@ from repro.experiments.common import (
     Driver,
     ExperimentResult,
     run_technique,
+    technique_point,
 )
-from repro.experiments.sweep import technique_point
 from repro.sim.tracesim import Mode
 
 
@@ -39,6 +39,6 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     return result
 
 
-#: The :class:`~repro.experiments.common.ExperimentDriver` for this
+#: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
 DRIVER = Driver(name="fig12", render_fn=_render, points_fn=_points)

@@ -12,8 +12,12 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.core.config import ApproximatorConfig
-from repro.experiments.common import Driver, ExperimentResult, run_technique
-from repro.experiments.sweep import technique_point
+from repro.experiments.common import (
+    Driver,
+    ExperimentResult,
+    run_technique,
+    technique_point,
+)
 from repro.sim.tracesim import Mode
 
 PRECISION_LOSS_BITS: Tuple[int, ...] = (0, 5, 11, 17, 23)
@@ -57,6 +61,6 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     return result
 
 
-#: The :class:`~repro.experiments.common.ExperimentDriver` for this
+#: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
 DRIVER = Driver(name="fig13", render_fn=_render, points_fn=_points)

@@ -15,8 +15,8 @@ from repro.experiments.common import (
     Driver,
     ExperimentResult,
     run_technique,
+    technique_point,
 )
-from repro.experiments.sweep import technique_point
 from repro.sim.tracesim import Mode
 
 DEGREES: Tuple[int, ...] = (0, 2, 4, 8, 16)
@@ -54,6 +54,6 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     return result
 
 
-#: The :class:`~repro.experiments.common.ExperimentDriver` for this
+#: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
 DRIVER = Driver(name="fig9", render_fn=_render, points_fn=_points)

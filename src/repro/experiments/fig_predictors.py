@@ -26,9 +26,10 @@ from repro.experiments.common import (
     BASELINE_WORKLOADS,
     Driver,
     ExperimentResult,
+    SweepPoint,
     run_technique,
+    technique_point,
 )
-from repro.experiments.sweep import SweepPoint, technique_point
 from repro.sim.tracesim import Mode
 
 #: The registry predictors the comparison sweeps. A fixed tuple rather
@@ -80,6 +81,6 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     return result
 
 
-#: The :class:`~repro.experiments.common.ExperimentDriver` for this
+#: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
 DRIVER = Driver(name="fig_predictors", render_fn=_render, points_fn=_points)

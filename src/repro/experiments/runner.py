@@ -59,13 +59,13 @@ from repro.experiments import (
     table1,
     table2,
 )
-from repro.experiments.common import Driver, ExperimentResult, averaged
+from repro.experiments.common import Driver, ExperimentResult, SweepPoint, averaged
 from repro.experiments.expectations import verify
 from repro.experiments.report import render_report, to_json
-from repro.experiments.sweep import SweepEngine, SweepPoint
+from repro.experiments.sweep import SweepEngine
 
-#: Every experiment, keyed by CLI name, as an
-#: :class:`~repro.experiments.common.ExperimentDriver`.
+#: Every experiment, keyed by CLI name, as a
+#: :class:`~repro.experiments.common.Driver`.
 DRIVERS: Dict[str, Driver] = {
     "table1": table1.DRIVER,
     "fig1": fig1.DRIVER,
@@ -87,9 +87,8 @@ DRIVERS: Dict[str, Driver] = {
     "ablate-memory-faults": fault_ablation.DRIVER,
 }
 
-#: Experiments decomposable into sweep points.  The rest (trace replay,
-#: full-system, NoC calibration) run whole because their cost is not in
-#: cacheable ``run_technique``/``run_precise_reference`` calls.
+#: Experiments decomposable into sweep points. The rest (Table II and
+#: the NoC calibration) declare no points and run whole.
 POINTS: Dict[str, Callable[..., List[SweepPoint]]] = {
     name: driver.points
     for name, driver in DRIVERS.items()

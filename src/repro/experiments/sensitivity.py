@@ -12,8 +12,12 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.core.config import ApproximatorConfig
-from repro.experiments.common import Driver, ExperimentResult, run_technique
-from repro.experiments.sweep import technique_point
+from repro.experiments.common import (
+    Driver,
+    ExperimentResult,
+    run_technique,
+    technique_point,
+)
 from repro.sim.tracesim import Mode
 
 #: (knob, low-override, high-override) around the Table II baseline.
@@ -91,6 +95,6 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     return result
 
 
-#: The :class:`~repro.experiments.common.ExperimentDriver` for this
+#: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
 DRIVER = Driver(name="ablate-sensitivity", render_fn=_render, points_fn=_points)

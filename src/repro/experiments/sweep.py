@@ -18,8 +18,10 @@ This engine flips the unit of parallelism from experiments to points:
    locking, provides the guarantee).
 4. The technique points fan out next; workers read the now-warm baselines
    from the shared disk cache (:mod:`~repro.experiments.diskcache`).
-5. Results are backfilled into the parent's in-process caches, so the
-   drivers afterwards assemble their tables for free.
+5. Results are backfilled into the parent's result memo under
+   :func:`~repro.experiments.common.point_cache_key`, the key the run
+   functions look up, so the drivers afterwards assemble their tables
+   for free.
 
 Because the simulations are deterministic, a table built from engine
 results is bit-identical to one built by running the driver alone.
@@ -54,183 +56,22 @@ import math
 import signal
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     ProcessPoolExecutor,
 )
 from concurrent.futures import wait as futures_wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import faults, telemetry
-from repro.core.config import ApproximatorConfig
-from repro.predictors import registry as predictor_registry
 from repro.errors import PointTimeoutError
 from repro.experiments import common, diskcache, tracestore
+from repro.experiments.common import SweepPoint, point_disk_key
 from repro.experiments.journal import NullJournal, RunJournal
-from repro.fullsystem import FullSystemResult
-from repro.sim.tracesim import Mode
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One unit of sweep work: a single simulator run, fully specified.
-
-    ``mode=None`` marks a precise-baseline-only point (e.g. Table I's
-    precise column, Figure 1's reference run); any technique point
-    implies its own precise baseline automatically. ``faults`` is an
-    optional memory-fault spec (see :mod:`repro.faults`) applied to the
-    technique run — baselines always execute clean.
-
-    ``fullsystem=True`` marks a phase-2 replay point
-    (:func:`common.run_fullsystem_point`): the captured trace replays
-    through the Table II platform, precisely (``approximate=False``) or
-    with per-core LVA (``approximate=True``, degree from ``config``).
-    Full-system points depend on their *trace capture* instead of a
-    precise phase-1 baseline.
-    """
-
-    workload: str
-    mode: Optional[Mode] = None
-    config: Optional[ApproximatorConfig] = None
-    prefetch_degree: int = 4
-    seed: int = 0
-    small: bool = False
-    #: Workload parameter overrides as a sorted items tuple (hashable).
-    params: Tuple[Tuple[str, object], ...] = ()
-    #: Memory-fault spec for this point ("" = clean).
-    faults: str = ""
-    #: Phase-2 replay point (see class docstring).
-    fullsystem: bool = False
-    #: Replay with approximation enabled (full-system points only).
-    approximate: bool = False
-
-    @property
-    def is_technique(self) -> bool:
-        return self.mode is not None and not self.fullsystem
-
-    @property
-    def is_fullsystem(self) -> bool:
-        return self.fullsystem
-
-    def params_dict(self) -> Optional[dict]:
-        return dict(self.params) if self.params else None
-
-    def baseline(self) -> "SweepPoint":
-        """The precise-baseline point this point depends on (always clean)."""
-        return SweepPoint(
-            workload=self.workload,
-            seed=self.seed,
-            small=self.small,
-            params=self.params,
-        )
-
-    def describe(self) -> str:
-        if self.fullsystem:
-            mode = "fullsystem-lva" if self.approximate else "fullsystem-baseline"
-        else:
-            mode = self.mode.value if self.mode is not None else "precise"
-        text = f"{self.workload}/{mode}/seed={self.seed}"
-        if self.faults:
-            text += f"/faults={self.faults}"
-        return text
-
-
-def technique_point(
-    workload: str,
-    mode: Mode,
-    config: Optional[ApproximatorConfig] = None,
-    prefetch_degree: int = 4,
-    seed: int = 0,
-    small: bool = False,
-    params: Optional[dict] = None,
-    faults: str = "",
-) -> SweepPoint:
-    """A point mirroring one :func:`common.run_technique` call."""
-    return SweepPoint(
-        workload=workload,
-        mode=mode,
-        config=config,
-        prefetch_degree=prefetch_degree,
-        seed=seed,
-        small=small,
-        params=tuple(sorted((params or {}).items())),
-        faults=faults,
-    )
-
-
-def precise_point(
-    workload: str, seed: int = 0, small: bool = False, params: Optional[dict] = None
-) -> SweepPoint:
-    """A point mirroring one :func:`common.run_precise_reference` call."""
-    return SweepPoint(
-        workload=workload,
-        seed=seed,
-        small=small,
-        params=tuple(sorted((params or {}).items())),
-    )
-
-
-def fullsystem_point(
-    workload: str,
-    config: Optional[ApproximatorConfig] = None,
-    approximate: Optional[bool] = None,
-    seed: int = 0,
-    small: bool = False,
-) -> SweepPoint:
-    """A point mirroring one :func:`common.run_fullsystem_point` call.
-
-    ``approximate`` defaults to whether a config was given (a configured
-    replay is an LVA replay; a bare one is the precise baseline).
-    """
-    return SweepPoint(
-        workload=workload,
-        config=config,
-        seed=seed,
-        small=small,
-        fullsystem=True,
-        approximate=config is not None if approximate is None else approximate,
-    )
-
-
-# --------------------------------------------------------------------- #
-# Point identity                                                        #
-# --------------------------------------------------------------------- #
-
-
-def _point_fault_spec(point: SweepPoint) -> str:
-    """The canonical memory-fault spec this point's run will see."""
-    with faults.memory_faults(point.faults):
-        return faults.active_memory_spec()
-
-
-def point_disk_key(point: SweepPoint) -> str:
-    """The disk-cache (and journal) key of one sweep point."""
-    if point.fullsystem:
-        return common.fullsystem_disk_key(
-            point.workload,
-            point.approximate,
-            point.config,
-            point.seed,
-            point.small,
-        )
-    if point.is_technique:
-        return common.technique_disk_key(
-            point.workload,
-            point.mode,
-            point.config,
-            point.prefetch_degree,
-            point.seed,
-            point.small,
-            point.params,
-            _point_fault_spec(point),
-            predictor_registry.active_override(point.mode.value),
-        )
-    return common._precise_disk_key(
-        point.workload, point.seed, point.small, point.params
-    )
 
 
 def capture_key(point: SweepPoint) -> str:
@@ -238,66 +79,54 @@ def capture_key(point: SweepPoint) -> str:
     return common.trace_disk_key(point.workload, point.seed, point.small)
 
 
+def _backfill(point: SweepPoint, result) -> None:
+    """Memoize one result in this process, where ``render()`` looks it up."""
+    common._RESULTS[common.point_cache_key(point)] = result
+
+
 # --------------------------------------------------------------------- #
-# Worker entry points (module-level for pickling)                       #
+# Worker entry point (module-level for pickling)                        #
 # --------------------------------------------------------------------- #
 
 
-def _counter_delta(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:
-    return {name: after[name] - before[name] for name in after}
+def _run_worker(kind: str, point: SweepPoint, attempt: int = 0):
+    """Run one task; returns (point, result, counters).
 
-
-def _run_precise_worker(point: SweepPoint, attempt: int = 0):
-    """Compute one precise baseline; returns (point, reference, counters).
-
-    Counters are per-task deltas — pool workers are reused across tasks,
-    so cumulative values would double-count when aggregated.
+    ``kind`` is the point's own kind, or ``"capture"`` for the
+    pre-capture wave of a full-system sweep: after a capture the trace
+    store holds the packed columns, so every replay worker memory-maps
+    them instead of re-running the workload, and the task's result is
+    the trace's event count. Counters are per-task deltas — pool workers
+    are reused across tasks, so cumulative values would double-count
+    when aggregated.
     """
-    faults.before_point(
-        "precise", point.workload, None, point.seed, point.small, attempt=attempt
-    )
-    before = common.COMPUTE_COUNTERS.as_dict()
-    tracer = telemetry.tracer()
-    if tracer is None:
-        reference = common.run_precise_reference(
-            point.workload, point.seed, point.small, point.params_dict()
-        )
+    # What --inject clauses match on. A capture carries a full-system
+    # point but matches as a clean, unconfigured precise run.
+    if kind == "technique":
+        mode, config = point.mode.value, point.config
+    elif kind == "fullsystem":
+        mode, config = "lva" if point.approximate else "baseline", point.config
     else:
-        tracer.emit(
-            "sweep.point.running",
-            point=point.describe(),
-            kind="precise",
-            attempt=attempt,
-        )
-        with tracer.span("sweep.point", point=point.describe(), kind="precise"):
-            reference = common.run_precise_reference(
-                point.workload, point.seed, point.small, point.params_dict()
-            )
-    return point, reference, _counter_delta(before, common.COMPUTE_COUNTERS.as_dict())
-
-
-def _run_technique_worker(point: SweepPoint, attempt: int = 0):
-    """Compute one technique point; returns (point, result, counters)."""
+        mode, config = None, None
     faults.before_point(
-        "technique",
-        point.workload,
-        point.mode.value if point.mode is not None else None,
-        point.seed,
-        point.small,
-        config=point.config,
-        attempt=attempt,
+        kind, point.workload, mode, point.seed, point.small, config=config, attempt=attempt
     )
-    before = common.COMPUTE_COUNTERS.as_dict()
+    before = common.COMPUTE_COUNTERS.copy()
     tracer = telemetry.tracer()
+    span = nullcontext()
     if tracer is not None:
         tracer.emit(
-            "sweep.point.running",
-            point=point.describe(),
-            kind="technique",
-            attempt=attempt,
+            "sweep.point.running", point=point.describe(), kind=kind, attempt=attempt
         )
-    with faults.memory_faults(point.faults):
-        if tracer is None:
+        span = tracer.span("sweep.point", point=point.describe(), kind=kind)
+    # The run functions are looked up on ``common`` at call time, so a
+    # wrapper installed there (a profiler's layer timer) sees each call.
+    with span, faults.memory_faults(point.faults):
+        if kind == "precise":
+            result = common.run_precise_reference(
+                point.workload, point.seed, point.small, point.params_dict()
+            )
+        elif kind == "technique":
             result = common.run_technique(
                 point.workload,
                 point.mode,
@@ -307,77 +136,9 @@ def _run_technique_worker(point: SweepPoint, attempt: int = 0):
                 small=point.small,
                 params=point.params_dict(),
             )
+        elif kind == "capture":
+            result = len(common.capture_trace(point.workload, point.seed, point.small))
         else:
-            with tracer.span(
-                "sweep.point", point=point.describe(), kind="technique"
-            ):
-                result = common.run_technique(
-                    point.workload,
-                    point.mode,
-                    config=point.config,
-                    prefetch_degree=point.prefetch_degree,
-                    seed=point.seed,
-                    small=point.small,
-                    params=point.params_dict(),
-                )
-    return point, result, _counter_delta(before, common.COMPUTE_COUNTERS.as_dict())
-
-
-def _run_capture_worker(point: SweepPoint, attempt: int = 0):
-    """Capture (or store-hit) one trace; returns (point, events, counters).
-
-    The pre-capture wave of a full-system sweep: after this task the
-    trace store holds the packed columns, so every replay worker
-    memory-maps them instead of re-running the workload.
-    """
-    faults.before_point(
-        "capture", point.workload, None, point.seed, point.small, attempt=attempt
-    )
-    before = common.COMPUTE_COUNTERS.as_dict()
-    tracer = telemetry.tracer()
-    if tracer is None:
-        trace = common.capture_trace(point.workload, point.seed, point.small)
-    else:
-        tracer.emit(
-            "sweep.point.running",
-            point=point.describe(),
-            kind="capture",
-            attempt=attempt,
-        )
-        with tracer.span("sweep.point", point=point.describe(), kind="capture"):
-            trace = common.capture_trace(point.workload, point.seed, point.small)
-    return point, len(trace), _counter_delta(before, common.COMPUTE_COUNTERS.as_dict())
-
-
-def _run_fullsystem_worker(point: SweepPoint, attempt: int = 0):
-    """Compute one full-system replay; returns (point, result, counters)."""
-    faults.before_point(
-        "fullsystem",
-        point.workload,
-        "lva" if point.approximate else "baseline",
-        point.seed,
-        point.small,
-        config=point.config,
-        attempt=attempt,
-    )
-    before = common.COMPUTE_COUNTERS.as_dict()
-    tracer = telemetry.tracer()
-    if tracer is None:
-        result = common.run_fullsystem_point(
-            point.workload,
-            approximate=point.approximate,
-            approximator=point.config,
-            seed=point.seed,
-            small=point.small,
-        )
-    else:
-        tracer.emit(
-            "sweep.point.running",
-            point=point.describe(),
-            kind="fullsystem",
-            attempt=attempt,
-        )
-        with tracer.span("sweep.point", point=point.describe(), kind="fullsystem"):
             result = common.run_fullsystem_point(
                 point.workload,
                 approximate=point.approximate,
@@ -385,51 +146,7 @@ def _run_fullsystem_worker(point: SweepPoint, attempt: int = 0):
                 seed=point.seed,
                 small=point.small,
             )
-    return point, result, _counter_delta(before, common.COMPUTE_COUNTERS.as_dict())
-
-
-# Baseline-only identity: precise runs are independent of the technique
-# fields (mode/config/prefetch_degree) and always execute clean (faults).
-def _precise_cache_key(point: SweepPoint) -> tuple:  # lva: ignore[LVA002]
-    return (point.workload, point.seed, point.small, point.params)
-
-
-def _technique_cache_key(point: SweepPoint) -> tuple:  # lva: ignore[LVA002]
-    return (
-        point.workload,
-        point.mode,
-        point.config,
-        point.prefetch_degree,
-        point.seed,
-        point.small,
-        point.params,
-        _point_fault_spec(point),
-        predictor_registry.active_override(point.mode.value),
-    )
-
-
-# Replay identity: the in-process key of common.run_fullsystem_point
-# (captures are precise and clean, so no mode/prefetch/fault components).
-def _fullsystem_cache_key(point: SweepPoint) -> tuple:  # lva: ignore[LVA002]
-    return (
-        point.workload,
-        point.approximate,
-        point.config,
-        point.seed,
-        point.small,
-    )
-
-
-def _backfill_precise(point: SweepPoint, reference) -> None:
-    common._PRECISE_CACHE[_precise_cache_key(point)] = reference
-
-
-def _backfill_technique(point: SweepPoint, result) -> None:
-    common._TECHNIQUE_CACHE[_technique_cache_key(point)] = result
-
-
-def _backfill_fullsystem(point: SweepPoint, result) -> None:
-    common._FULLSYSTEM_CACHE[_fullsystem_cache_key(point)] = result
+    return point, result, common.COMPUTE_COUNTERS - before
 
 
 # --------------------------------------------------------------------- #
@@ -464,18 +181,6 @@ class _Task:
     attempts: int = 0
     #: ``time.monotonic()`` at the start of the current attempt (0 = unset).
     started: float = 0.0
-
-    @property
-    def worker(self):
-        return _WORKERS[self.kind]
-
-
-_WORKERS = {
-    "precise": _run_precise_worker,
-    "technique": _run_technique_worker,
-    "capture": _run_capture_worker,
-    "fullsystem": _run_fullsystem_worker,
-}
 
 
 def _sigterm_to_interrupt(signum, frame):
@@ -568,9 +273,9 @@ class SweepEngine:
     """Dedupes and executes sweep points, backfilling the caches.
 
     One engine instance is built per CLI invocation; :meth:`execute`
-    leaves ``common._PRECISE_CACHE`` / ``common._TECHNIQUE_CACHE`` warm in
-    the calling process, so ``DRIVER.render()`` calls afterwards cost
-    only table assembly. ``retries``/``point_timeout``/``resume``
+    leaves the result memo ``common._RESULTS`` warm in the calling
+    process, so ``DRIVER.render()`` calls afterwards cost only table
+    assembly. ``retries``/``point_timeout``/``resume``
     configure the supervision layer (see the module docstring).
     """
 
@@ -617,8 +322,8 @@ class SweepEngine:
         baselines: List[SweepPoint] = list(
             dict.fromkeys(point.baseline() for point in unique if not point.fullsystem)
         )
-        technique_points = [p for p in unique if p.is_technique]
-        fullsystem_points = [p for p in unique if p.is_fullsystem]
+        technique_points = [p for p in unique if p.kind == "technique"]
+        fullsystem_points = [p for p in unique if p.fullsystem]
         # Pre-capture only pays off when workers can share the result:
         # without the trace store each process keeps its own LRU anyway.
         captures: List[SweepPoint] = []
@@ -633,40 +338,28 @@ class SweepEngine:
         report.unique_points += len(unique)
         report.unique_baselines += len(baselines)
 
-        baseline_tasks = [
-            _Task(point, "precise", point_disk_key(point)) for point in baselines
+        wave_one = [_Task(p, "precise", point_disk_key(p)) for p in baselines] + [
+            _Task(p, "capture", capture_key(p)) for p in captures
         ]
-        capture_tasks = [
-            _Task(point, "capture", capture_key(point)) for point in captures
-        ]
-        technique_tasks = [
-            _Task(point, "technique", point_disk_key(point))
-            for point in technique_points
-        ]
-        fullsystem_tasks = [
-            _Task(point, "fullsystem", point_disk_key(point))
-            for point in fullsystem_points
+        wave_two = [
+            _Task(p, p.kind, point_disk_key(p))
+            for p in technique_points + fullsystem_points
         ]
 
         tracer = telemetry.tracer()
-        all_tasks = baseline_tasks + capture_tasks + technique_tasks + fullsystem_tasks
         if tracer is not None:
-            for task in all_tasks:
+            for task in wave_one + wave_two:
                 tracer.emit(
                     "sweep.point.queued", point=task.point.describe(), kind=task.kind
                 )
-        journal = self._open_journal(all_tasks)
+        journal = self._open_journal(wave_one + wave_two)
         self._install_signal_handler()
         try:
             if self.resume:
-                baseline_tasks = self._restore_completed(baseline_tasks, journal)
-                capture_tasks = self._restore_completed(capture_tasks, journal)
-                technique_tasks = self._restore_completed(technique_tasks, journal)
-                fullsystem_tasks = self._restore_completed(fullsystem_tasks, journal)
-            self._run_wave(baseline_tasks + capture_tasks, journal)
-            technique_tasks = self._fail_orphaned(technique_tasks, journal)
-            fullsystem_tasks = self._fail_orphaned(fullsystem_tasks, journal)
-            self._run_wave(technique_tasks + fullsystem_tasks, journal)
+                wave_one = self._restore_completed(wave_one, journal)
+                wave_two = self._restore_completed(wave_two, journal)
+            self._run_wave(wave_one, journal)
+            self._run_wave(self._fail_orphaned(wave_two, journal), journal)
         finally:
             self._restore_signal_handler()
             journal.close()
@@ -713,16 +406,10 @@ class SweepEngine:
         if disk is None:
             return False
         stored = disk.get(task.key)
-        if task.kind == "precise" and isinstance(stored, common.PreciseReference):
-            _backfill_precise(task.point, stored)
-            return True
-        if task.kind == "technique" and isinstance(stored, common.TechniqueResult):
-            _backfill_technique(task.point, stored)
-            return True
-        if task.kind == "fullsystem" and isinstance(stored, FullSystemResult):
-            _backfill_fullsystem(task.point, stored)
-            return True
-        return False
+        if not isinstance(stored, common.RESULT_TYPES[task.kind]):
+            return False
+        _backfill(task.point, stored)
+        return True
 
     # -- wave orchestration ---------------------------------------------- #
 
@@ -783,7 +470,9 @@ class SweepEngine:
             while True:
                 task.started = time.monotonic()
                 try:
-                    _, result, counters = task.worker(task.point, task.attempts)
+                    _, result, counters = _run_worker(
+                        task.kind, task.point, task.attempts
+                    )
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except Exception as exc:
@@ -827,7 +516,9 @@ class SweepEngine:
                     task = pending.popleft()
                     task.started = time.monotonic()
                     try:
-                        future = pool.submit(task.worker, task.point, task.attempts)
+                        future = pool.submit(
+                            _run_worker, task.kind, task.point, task.attempts
+                        )
                     except BrokenExecutor:
                         pending.appendleft(task)
                         pool = self._recover_pool(pool, inflight, pending)
@@ -1019,15 +710,11 @@ class SweepEngine:
             self._record_failure(task, exc, journal)
 
     def _record_success(self, task: _Task, result, counters, journal) -> None:
-        if task.kind == "precise":
-            _backfill_precise(task.point, result)
-        elif task.kind == "technique":
-            _backfill_technique(task.point, result)
-        elif task.kind == "fullsystem":
-            _backfill_fullsystem(task.point, result)
-        # "capture": the trace store entry *is* the artifact; nothing to
-        # backfill in the parent beyond the counters.
-        self._absorb_counters(_ZERO_COUNTERS, counters)
+        # A capture has no result to backfill: its trace-store entry *is*
+        # the artifact, and the parent takes only its counters.
+        if task.kind in common.RESULT_TYPES:
+            _backfill(task.point, result)
+        self._absorb_counters(counters)
         journal.record_done(task.kind, task.key)
         if telemetry.enabled():
             wall = time.monotonic() - task.started if task.started else 0.0
@@ -1063,17 +750,13 @@ class SweepEngine:
             )
         self.report.failures.append(failure)
         message = f"{failure.error_type}: {failure.message}"
-        if task.kind == "precise":
-            _backfill_precise(task.point, common.failed_precise_reference(message))
+        placeholder = common.FAILED_RESULTS.get(task.kind)
+        if placeholder is not None:
+            _backfill(task.point, placeholder(message))
+        if task.kind in ("precise", "capture"):
+            # Wave-2 dependents are pre-failed by _fail_orphaned; their
+            # FAILED placeholders carry the render-path NaNs.
             self._failed_baseline_keys.add(task.key)
-        elif task.kind == "capture":
-            # Dependents are pre-failed by _fail_orphaned; their FAILED
-            # placeholders carry the render-path NaNs.
-            self._failed_baseline_keys.add(task.key)
-        elif task.kind == "fullsystem":
-            _backfill_fullsystem(task.point, common.failed_fullsystem_result(message))
-        else:
-            _backfill_technique(task.point, common.failed_technique_result(message))
         journal.record_failed(
             task.kind, task.key, failure.error_type, failure.message, failure.attempts
         )
@@ -1132,27 +815,13 @@ class SweepEngine:
 
     # -- counters ---------------------------------------------------------- #
 
-    def _absorb_counters(self, before: Dict[str, int], after: Dict[str, int]) -> None:
+    def _absorb_counters(self, counters: Counter) -> None:
         report = self.report
-        report.precise_computed += after["precise_computed"] - before["precise_computed"]
-        report.technique_computed += (
-            after["technique_computed"] - before["technique_computed"]
+        report.precise_computed += counters["precise_computed"]
+        report.technique_computed += counters["technique_computed"]
+        report.fullsystem_computed += counters["fullsystem_computed"]
+        report.traces_captured += counters["traces_captured"]
+        report.trace_store_hits += counters["trace_store_hits"]
+        report.disk_hits += sum(
+            counters[kind + "_disk_hits"] for kind in common.RESULT_TYPES
         )
-        report.fullsystem_computed += (
-            after["fullsystem_computed"] - before["fullsystem_computed"]
-        )
-        report.traces_captured += after["traces_captured"] - before["traces_captured"]
-        report.trace_store_hits += (
-            after["trace_store_hits"] - before["trace_store_hits"]
-        )
-        report.disk_hits += (
-            after["precise_disk_hits"]
-            - before["precise_disk_hits"]
-            + after["technique_disk_hits"]
-            - before["technique_disk_hits"]
-            + after["fullsystem_disk_hits"]
-            - before["fullsystem_disk_hits"]
-        )
-
-
-_ZERO_COUNTERS: Dict[str, int] = common.ComputeCounters().as_dict()

@@ -14,8 +14,8 @@ from repro.experiments.common import (
     ExperimentResult,
     run_precise_reference,
     run_technique,
+    technique_point,
 )
-from repro.experiments.sweep import technique_point
 from repro.sim.tracesim import Mode
 
 #: The paper's Table I, for side-by-side comparison in reports.
@@ -67,6 +67,6 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     return result
 
 
-#: The :class:`~repro.experiments.common.ExperimentDriver` for this
+#: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
 DRIVER = Driver(name="table1", render_fn=_render, points_fn=_points)

@@ -8,8 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.core.config import ApproximatorConfig
 from repro.experiments import common, diskcache
 from repro.experiments.common import (
@@ -20,33 +18,6 @@ from repro.experiments.common import (
 from repro.sim.tracesim import Mode
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
-
-
-@pytest.fixture
-def disk(monkeypatch, tmp_path):
-    """A live, empty disk cache in tmp_path with clean in-memory layers.
-
-    The suite-wide autouse fixture disables the disk layer; this one
-    re-enables it against a throwaway directory and isolates the
-    in-process caches so the disk layer is actually exercised.
-    """
-    monkeypatch.delenv(diskcache.NO_CACHE_ENV, raising=False)
-    monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path / "cache"))
-    monkeypatch.setattr(diskcache, "_DISABLED_OVERRIDE", False)
-    monkeypatch.setattr(diskcache, "_ACTIVE", None)
-    monkeypatch.setattr(diskcache, "_ACTIVE_DIR", None)
-    monkeypatch.setattr(common, "COMPUTE_COUNTERS", common.ComputeCounters())
-    saved_precise = dict(common._PRECISE_CACHE)
-    saved_technique = dict(common._TECHNIQUE_CACHE)
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
-    cache = diskcache.active_cache()
-    assert cache is not None
-    yield cache
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
-    common._PRECISE_CACHE.update(saved_precise)
-    common._TECHNIQUE_CACHE.update(saved_technique)
 
 
 def _fig4_key() -> str:
@@ -159,41 +130,41 @@ class TestKeys:
 
 
 class TestDiskCache:
-    def test_round_trip(self, disk):
-        disk.put("ab" * 32, {"payload": [1.5, float("inf")]})
-        assert disk.get("ab" * 32) == {"payload": [1.5, float("inf")]}
-        assert len(disk) == 1
+    def test_round_trip(self, disk_cache):
+        disk_cache.put("ab" * 32, {"payload": [1.5, float("inf")]})
+        assert disk_cache.get("ab" * 32) == {"payload": [1.5, float("inf")]}
+        assert len(disk_cache) == 1
 
-    def test_miss_returns_none(self, disk):
-        assert disk.get("cd" * 32) is None
-        assert disk.stats.misses == 1
+    def test_miss_returns_none(self, disk_cache):
+        assert disk_cache.get("cd" * 32) is None
+        assert disk_cache.stats.misses == 1
 
-    def test_corrupt_entry_heals(self, disk):
+    def test_corrupt_entry_heals(self, disk_cache):
         key = "ef" * 32
-        disk.put(key, {"ok": True})
-        path = disk._path(key)
+        disk_cache.put(key, {"ok": True})
+        path = disk_cache._path(key)
         path.write_bytes(b"\x80\x05 definitely not a pickle")
-        assert disk.get(key) is None
+        assert disk_cache.get(key) is None
         assert not path.exists()
-        disk.put(key, {"ok": True})
-        assert disk.get(key) == {"ok": True}
+        disk_cache.put(key, {"ok": True})
+        assert disk_cache.get(key) == {"ok": True}
 
-    def test_no_cache_env_disables_layer(self, disk, monkeypatch):
+    def test_no_cache_env_disables_layer(self, disk_cache, monkeypatch):
         monkeypatch.setenv(diskcache.NO_CACHE_ENV, "1")
         assert diskcache.active_cache() is None
 
-    def test_reset_caches_clears_disk_layer(self, disk):
+    def test_reset_caches_clears_disk_layer(self, disk_cache):
         run_precise_reference("blackscholes", small=True)
-        assert len(disk) == 1
-        assert common._PRECISE_CACHE
+        assert len(disk_cache) == 1
+        assert common._RESULTS
         common.reset_caches()
-        assert len(disk) == 0
-        assert not common._PRECISE_CACHE
-        assert common.COMPUTE_COUNTERS.precise_computed == 0
+        assert len(disk_cache) == 0
+        assert not common._RESULTS
+        assert common.COMPUTE_COUNTERS["precise_computed"] == 0
 
 
 class TestResultCaching:
-    def test_cached_technique_result_matches_fresh(self, disk):
+    def test_cached_technique_result_matches_fresh(self, disk_cache):
         """A fig4 point served from disk is bitwise-equal to recomputing.
 
         Clearing the in-memory caches between the two calls simulates a
@@ -201,33 +172,32 @@ class TestResultCaching:
         """
         config = ApproximatorConfig(ghb_size=2)
         fresh = run_technique("blackscholes", Mode.LVA, config=config, small=True)
-        assert common.COMPUTE_COUNTERS.technique_computed == 1
+        assert common.COMPUTE_COUNTERS["technique_computed"] == 1
 
-        common._PRECISE_CACHE.clear()
-        common._TECHNIQUE_CACHE.clear()
+        common._RESULTS.clear()
         cached = run_technique("blackscholes", Mode.LVA, config=config, small=True)
 
-        assert common.COMPUTE_COUNTERS.technique_computed == 1  # not recomputed
-        assert common.COMPUTE_COUNTERS.technique_disk_hits == 1
+        assert common.COMPUTE_COUNTERS["technique_computed"] == 1  # not recomputed
+        assert common.COMPUTE_COUNTERS["technique_disk_hits"] == 1
         assert isinstance(cached, TechniqueResult)
         assert cached is not fresh
         assert dataclasses.asdict(cached) == dataclasses.asdict(fresh)
 
-    def test_precise_reference_served_from_disk(self, disk):
+    def test_precise_reference_served_from_disk(self, disk_cache):
         first = run_precise_reference("blackscholes", small=True)
-        common._PRECISE_CACHE.clear()
+        common._RESULTS.clear()
         second = run_precise_reference("blackscholes", small=True)
-        assert common.COMPUTE_COUNTERS.precise_computed == 1
-        assert common.COMPUTE_COUNTERS.precise_disk_hits == 1
+        assert common.COMPUTE_COUNTERS["precise_computed"] == 1
+        assert common.COMPUTE_COUNTERS["precise_disk_hits"] == 1
         assert second.mpki == first.mpki
         assert second.instructions == first.instructions
         assert second.output == first.output
 
-    def test_wrong_record_type_is_ignored(self, disk, monkeypatch):
+    def test_wrong_record_type_is_ignored(self, disk_cache, monkeypatch):
         """A technique key holding junk must fall through to computing."""
         config = ApproximatorConfig(ghb_size=2)
         key = _fig4_key()
-        disk.put(key, {"not": "a TechniqueResult"})
+        disk_cache.put(key, {"not": "a TechniqueResult"})
         result = run_technique("blackscholes", Mode.LVA, config=config, small=True)
         assert isinstance(result, TechniqueResult)
-        assert common.COMPUTE_COUNTERS.technique_computed == 1
+        assert common.COMPUTE_COUNTERS["technique_computed"] == 1

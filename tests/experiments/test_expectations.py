@@ -70,28 +70,6 @@ class TestAveraged:
             averaged(lambda **kw: None, repeats=0)
 
 
-class TestFormatChart:
-    def test_bars_scale_to_peak(self):
-        result = ExperimentResult("X", "d")
-        result.add("v", "big", 2.0)
-        result.add("v", "half", 1.0)
-        chart = result.format_chart("v", bar_width=10)
-        lines = chart.splitlines()
-        assert lines[1].count("#") == 10
-        assert lines[2].count("#") == 5
-
-    def test_negative_values_signed(self):
-        result = ExperimentResult("X", "d")
-        result.add("v", "loss", -0.5)
-        chart = result.format_chart("v")
-        assert "-0.5000" in chart
-
-    def test_empty_series(self):
-        result = ExperimentResult("X", "d")
-        result.series["v"] = {}
-        assert "(empty)" in result.format_chart("v")
-
-
 class TestRunnerParallel:
     def test_jobs_flag_produces_same_tables(self, capsys):
         from repro.experiments.runner import main

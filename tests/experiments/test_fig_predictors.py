@@ -18,8 +18,7 @@ import pytest
 
 from repro.core.config import ApproximatorConfig
 from repro.experiments import fig_predictors, runner
-from repro.experiments.common import BASELINE_WORKLOADS, run_technique
-from repro.experiments.sweep import point_disk_key
+from repro.experiments.common import BASELINE_WORKLOADS, point_disk_key, run_technique
 from repro.sim.tracesim import Mode
 
 EXPECTED = Path(__file__).parent / "expected" / "fig_predictors_small.json"

@@ -8,23 +8,10 @@ import pytest
 
 from repro.core.config import ApproximatorConfig
 from repro.experiments import common, diskcache
-from repro.experiments.sweep import SweepEngine, fullsystem_point
+from repro.experiments.common import fullsystem_point
+from repro.experiments.sweep import SweepEngine
 
-
-@pytest.fixture
-def cache_dir(tmp_path, monkeypatch):
-    monkeypatch.delenv(diskcache.NO_CACHE_ENV, raising=False)
-    monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path))
-    return tmp_path
-
-
-@pytest.fixture(autouse=True)
-def _fresh_caches():
-    common._TRACE_CACHE.clear()
-    common._FULLSYSTEM_CACHE.clear()
-    yield
-    common._TRACE_CACHE.clear()
-    common._FULLSYSTEM_CACHE.clear()
+pytestmark = pytest.mark.usefixtures("fresh_results")
 
 
 class TestRunFullSystemPoint:
@@ -33,13 +20,13 @@ class TestRunFullSystemPoint:
         second = common.run_fullsystem_point("swaptions", small=True)
         assert first is second
 
-    def test_disk_cache_round_trip(self, cache_dir):
+    def test_disk_cache_round_trip(self, disk_cache):
         first = common.run_fullsystem_point("swaptions", small=True)
-        common._FULLSYSTEM_CACHE.clear()
+        common._RESULTS.clear()
         common._TRACE_CACHE.clear()
-        before = common.COMPUTE_COUNTERS.fullsystem_disk_hits
+        before = common.COMPUTE_COUNTERS["fullsystem_disk_hits"]
         second = common.run_fullsystem_point("swaptions", small=True)
-        assert common.COMPUTE_COUNTERS.fullsystem_disk_hits == before + 1
+        assert common.COMPUTE_COUNTERS["fullsystem_disk_hits"] == before + 1
         assert second.cycles == first.cycles
         assert second.energy == first.energy
 
@@ -57,14 +44,12 @@ class TestRunFullSystemPoint:
         failed = common.failed_fullsystem_result("boom")
         assert failed.failure == "boom"
         assert math.isnan(failed.cycles)
-        assert common.is_failed(failed)
-        assert not common.is_failed(common.run_fullsystem_point("swaptions", small=True))
 
 
 class TestFullSystemPoints:
     def test_point_shape(self):
         p = fullsystem_point("canneal", small=True)
-        assert p.is_fullsystem and not p.is_technique
+        assert p.kind == "fullsystem"
         assert p.approximate is False
         assert "fullsystem-baseline" in p.describe()
         lva = fullsystem_point(
@@ -86,7 +71,7 @@ class TestEngineIntegration:
             )
         return pts
 
-    def test_serial_engine_computes_fullsystem_points(self, cache_dir):
+    def test_serial_engine_computes_fullsystem_points(self, disk_cache):
         report = SweepEngine(jobs=1).execute(self.points())
         assert report.unique_points == 4
         assert report.fullsystem_computed == 4
@@ -96,14 +81,14 @@ class TestEngineIntegration:
         assert report.traces_captured == 2
         assert "replays" in report.summary()
 
-    def test_warm_store_skips_all_captures(self, cache_dir):
+    def test_warm_store_skips_all_captures(self, disk_cache):
         cold = SweepEngine(jobs=1).execute(self.points())
         assert cold.traces_captured == 2
 
         # New process simulation: drop every in-process layer and the
         # replay *result* cache, but keep the trace store.
         common._TRACE_CACHE.clear()
-        common._FULLSYSTEM_CACHE.clear()
+        common._RESULTS.clear()
         disk = diskcache.active_cache()
         assert disk is not None
         disk.clear()
@@ -114,12 +99,12 @@ class TestEngineIntegration:
         assert warm.fullsystem_computed == 4
         assert not warm.failures
 
-    def test_results_identical_across_cold_and_warm(self, cache_dir):
+    def test_results_identical_across_cold_and_warm(self, disk_cache):
         SweepEngine(jobs=1).execute(self.points())
         cold = common.run_fullsystem_point("swaptions", small=True)
 
         common._TRACE_CACHE.clear()
-        common._FULLSYSTEM_CACHE.clear()
+        common._RESULTS.clear()
         diskcache.active_cache().clear()
 
         SweepEngine(jobs=1).execute(self.points())
@@ -142,7 +127,7 @@ class TestEngineIntegration:
         pts = fig10.DRIVER.points(small=True)
         workloads = {p.workload for p in pts}
         assert workloads == set(common.BASELINE_WORKLOADS)
-        assert all(p.is_fullsystem for p in pts)
+        assert all(p.fullsystem for p in pts)
         per_workload = len(fig10.DEGREES) + 1  # degrees + precise baseline
         assert len(pts) == per_workload * len(common.BASELINE_WORKLOADS)
 

@@ -13,25 +13,11 @@ from repro.experiments.journal import NullJournal, RunJournal, run_id
 from repro.experiments.sweep import SweepEngine
 
 
-@pytest.fixture
-def clean_caches(monkeypatch, tmp_path):
-    """Disk cache in tmp_path, empty in-memory caches, fresh counters."""
-    monkeypatch.delenv(diskcache.NO_CACHE_ENV, raising=False)
-    monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path / "cache"))
-    monkeypatch.setattr(diskcache, "_DISABLED_OVERRIDE", False)
-    monkeypatch.setattr(diskcache, "_ACTIVE", None)
-    monkeypatch.setattr(diskcache, "_ACTIVE_DIR", None)
-    monkeypatch.setattr(common, "COMPUTE_COUNTERS", common.ComputeCounters())
-    saved_precise = dict(common._PRECISE_CACHE)
-    saved_technique = dict(common._TECHNIQUE_CACHE)
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
+@pytest.fixture(autouse=True)
+def _no_stray_injection():
+    """No fault spec a test activates leaks out of it."""
     yield
     faults.deactivate()
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
-    common._PRECISE_CACHE.update(saved_precise)
-    common._TECHNIQUE_CACHE.update(saved_technique)
 
 
 class TestRunId:
@@ -165,7 +151,7 @@ class TestRunJournal:
 
 
 class TestEngineResume:
-    def test_interrupted_run_resumes_only_missing_points(self, clean_caches):
+    def test_interrupted_run_resumes_only_missing_points(self, disk_cache):
         """Acceptance: a run with one FAILED point, rerun with resume=True,
         recomputes exactly the missing point and completes the table."""
         faults.activate("raise:mantissa_drop_bits=11")
@@ -175,8 +161,7 @@ class TestEngineResume:
 
         # A fresh process would start with cold in-memory caches (but the
         # disk cache and journal survive).
-        common._PRECISE_CACHE.clear()
-        common._TECHNIQUE_CACHE.clear()
+        common._RESULTS.clear()
         common._TRACE_CACHE.clear()
 
         second = SweepEngine(jobs=1, resume=True).execute(fig13.DRIVER.points(small=True))
@@ -189,12 +174,11 @@ class TestEngineResume:
             math.isnan(v) for v in table.series["normalized_mpki"].values()
         )
 
-    def test_resumed_table_is_bitwise_identical(self, clean_caches):
+    def test_resumed_table_is_bitwise_identical(self, disk_cache):
         faults.activate("raise:mantissa_drop_bits=11")
         SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
         faults.deactivate()
-        common._PRECISE_CACHE.clear()
-        common._TECHNIQUE_CACHE.clear()
+        common._RESULTS.clear()
         common._TRACE_CACHE.clear()
         SweepEngine(jobs=1, resume=True).execute(fig13.DRIVER.points(small=True))
         resumed = fig13.DRIVER.render(small=True)
@@ -204,15 +188,14 @@ class TestEngineResume:
 
         os.environ[diskcache.CACHE_DIR_ENV] = os.environ[diskcache.CACHE_DIR_ENV] + "2"
         diskcache._ACTIVE = None
-        common._PRECISE_CACHE.clear()
-        common._TECHNIQUE_CACHE.clear()
+        common._RESULTS.clear()
         common._TRACE_CACHE.clear()
         SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
         pristine = fig13.DRIVER.render(small=True)
 
         assert resumed.series == pristine.series
 
-    def test_resume_after_torn_journal_tail_recomputes_once(self, clean_caches):
+    def test_resume_after_torn_journal_tail_recomputes_once(self, disk_cache):
         """A torn final line (hard kill mid-append) loses exactly that
         point's record; --resume recomputes it once, never duplicates."""
         SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
@@ -222,8 +205,7 @@ class TestEngineResume:
         lines = blob.splitlines(keepends=True)
         journals[0].write_bytes(b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
 
-        common._PRECISE_CACHE.clear()
-        common._TECHNIQUE_CACHE.clear()
+        common._RESULTS.clear()
         common._TRACE_CACHE.clear()
         second = SweepEngine(jobs=1, resume=True).execute(fig13.DRIVER.points(small=True))
         assert not second.failures
@@ -236,7 +218,7 @@ class TestEngineResume:
         done_keys = [r["key"] for r in records if r.get("event") == "done"]
         assert len(done_keys) == len(set(done_keys))  # no duplicated points
 
-    def test_journal_written_next_to_cache(self, clean_caches):
+    def test_journal_written_next_to_cache(self, disk_cache):
         SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
         journals = list((diskcache.default_cache_dir() / "journals").glob("*.jsonl"))
         assert len(journals) == 1
@@ -248,20 +230,10 @@ class TestEngineResume:
         assert len(records) == 6  # 1 baseline + 5 technique points
         assert {r["event"] for r in records} == {"done"}
 
-    def test_no_cache_run_journals_nothing(self, monkeypatch, tmp_path):
+    def test_no_cache_run_journals_nothing(self, fresh_results, monkeypatch, tmp_path):
         """With the disk layer off the engine must not scribble journals
         into the user's home directory."""
         monkeypatch.setenv(diskcache.NO_CACHE_ENV, "1")
         monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path / "nope"))
-        saved_precise = dict(common._PRECISE_CACHE)
-        saved_technique = dict(common._TECHNIQUE_CACHE)
-        common._PRECISE_CACHE.clear()
-        common._TECHNIQUE_CACHE.clear()
-        try:
-            SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
-            assert not (tmp_path / "nope").exists()
-        finally:
-            common._PRECISE_CACHE.clear()
-            common._TECHNIQUE_CACHE.clear()
-            common._PRECISE_CACHE.update(saved_precise)
-            common._TECHNIQUE_CACHE.update(saved_technique)
+        SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
+        assert not (tmp_path / "nope").exists()

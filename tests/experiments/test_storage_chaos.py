@@ -37,28 +37,6 @@ def _hermetic_faults(monkeypatch):
     integrity.reset_warnings()
 
 
-@pytest.fixture
-def clean_caches(monkeypatch, tmp_path):
-    """Disk cache in tmp_path, empty in-memory caches, fresh counters."""
-    monkeypatch.delenv(diskcache.NO_CACHE_ENV, raising=False)
-    monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path / "cache"))
-    monkeypatch.setattr(diskcache, "_DISABLED_OVERRIDE", False)
-    monkeypatch.setattr(diskcache, "_ACTIVE", None)
-    monkeypatch.setattr(diskcache, "_ACTIVE_DIR", None)
-    monkeypatch.setattr(common, "COMPUTE_COUNTERS", common.ComputeCounters())
-    saved_precise = dict(common._PRECISE_CACHE)
-    saved_technique = dict(common._TECHNIQUE_CACHE)
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
-    common._TRACE_CACHE.clear()
-    yield
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
-    common._TRACE_CACHE.clear()
-    common._PRECISE_CACHE.update(saved_precise)
-    common._TECHNIQUE_CACHE.update(saved_technique)
-
-
 def _inject(monkeypatch, spec: str) -> None:
     monkeypatch.setenv(INJECT_ENV, spec)
     fsfaults.reset_counters()
@@ -262,7 +240,7 @@ class TestSweepUnderStorageChaos:
         ],
         ids=["corrupt-every-entry", "torn-from-second", "enospc-from-third"],
     )
-    def test_chaos_table_bit_identical_to_clean(self, clean_caches, monkeypatch, spec):
+    def test_chaos_table_bit_identical_to_clean(self, disk_cache, monkeypatch, spec):
         import os
 
         _inject(monkeypatch, spec)
@@ -276,8 +254,7 @@ class TestSweepUnderStorageChaos:
 
         os.environ[diskcache.CACHE_DIR_ENV] += "-pristine"
         diskcache._ACTIVE = None
-        common._PRECISE_CACHE.clear()
-        common._TECHNIQUE_CACHE.clear()
+        common._RESULTS.clear()
         common._TRACE_CACHE.clear()
         SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
         pristine = fig13.DRIVER.render(small=True)

@@ -7,34 +7,15 @@ import dataclasses
 import pytest
 
 from repro.core.config import ApproximatorConfig
-from repro.experiments import common, diskcache, fig4, fig12, fig13, runner
-from repro.experiments.sweep import (
-    SweepEngine,
+from repro.experiments import common, fig4, fig12, fig13, runner
+from repro.experiments.common import (
     SweepPoint,
+    fullsystem_point,
     precise_point,
     technique_point,
 )
+from repro.experiments.sweep import SweepEngine
 from repro.sim.tracesim import Mode
-
-
-@pytest.fixture
-def clean_caches(monkeypatch, tmp_path):
-    """Disk cache in tmp_path, empty in-memory caches, fresh counters."""
-    monkeypatch.delenv(diskcache.NO_CACHE_ENV, raising=False)
-    monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path / "cache"))
-    monkeypatch.setattr(diskcache, "_DISABLED_OVERRIDE", False)
-    monkeypatch.setattr(diskcache, "_ACTIVE", None)
-    monkeypatch.setattr(diskcache, "_ACTIVE_DIR", None)
-    monkeypatch.setattr(common, "COMPUTE_COUNTERS", common.ComputeCounters())
-    saved_precise = dict(common._PRECISE_CACHE)
-    saved_technique = dict(common._TECHNIQUE_CACHE)
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
-    yield
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
-    common._PRECISE_CACHE.update(saved_precise)
-    common._TECHNIQUE_CACHE.update(saved_technique)
 
 
 class TestSweepPoint:
@@ -42,7 +23,7 @@ class TestSweepPoint:
         point = technique_point(
             "canneal", Mode.LVA, ApproximatorConfig(ghb_size=2), small=True
         )
-        assert point.is_technique
+        assert point.kind == "technique"
         assert point.params == ()
         assert point.baseline() == precise_point("canneal", small=True)
 
@@ -92,12 +73,10 @@ class TestDeterministicBackoff:
 
 
 class TestSerialEngine:
-    def test_fig13_equivalent_to_driver_alone(self, clean_caches):
+    def test_fig13_equivalent_to_driver_alone(self, disk_cache):
         """A table built after a sweep is bitwise-identical to one built
         by the driver alone on cold caches."""
         expected = fig13.DRIVER.render(small=True)
-        common._PRECISE_CACHE.clear()
-        common._TECHNIQUE_CACHE.clear()
         common.reset_caches()
 
         report = SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
@@ -109,7 +88,7 @@ class TestSerialEngine:
         assert report.precise_computed == 1
         assert report.technique_computed == 5
 
-    def test_fig4_equivalent_to_driver_alone(self, clean_caches):
+    def test_fig4_equivalent_to_driver_alone(self, disk_cache):
         """The acceptance point: Figure 4 through the engine + disk cache
         is bitwise-identical to the driver computing everything itself."""
         expected = fig4.DRIVER.render(small=True)
@@ -122,17 +101,17 @@ class TestSerialEngine:
         assert report.precise_computed == report.unique_baselines == 7
         assert report.technique_computed == report.unique_points == 56
 
-    def test_driver_rerun_is_pure_cache_hits(self, clean_caches):
+    def test_driver_rerun_is_pure_cache_hits(self, disk_cache):
         SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
-        before = common.COMPUTE_COUNTERS.as_dict()
+        before = common.COMPUTE_COUNTERS.copy()
         fig13.DRIVER.render(small=True)
-        after = common.COMPUTE_COUNTERS.as_dict()
+        after = common.COMPUTE_COUNTERS.copy()
         assert after["precise_computed"] == before["precise_computed"]
         assert after["technique_computed"] == before["technique_computed"]
 
 
 class TestParallelEngine:
-    def test_exactly_once_across_workers(self, clean_caches):
+    def test_exactly_once_across_workers(self, disk_cache):
         """Every baseline and every technique point is computed exactly
         once across the worker pool, never per-worker."""
         points = fig12.DRIVER.points(small=True) + fig13.DRIVER.points(small=True)
@@ -146,19 +125,37 @@ class TestParallelEngine:
         assert report.precise_computed == len(baselines)
         assert report.technique_computed == len(unique)
 
-    def test_backfill_makes_driver_rerun_free(self, clean_caches):
+    def test_backfill_makes_driver_rerun_free(self, disk_cache):
         SweepEngine(jobs=2).execute(fig13.DRIVER.points(small=True))
-        before = common.COMPUTE_COUNTERS.as_dict()
+        before = common.COMPUTE_COUNTERS.copy()
         result = fig13.DRIVER.render(small=True)
-        after = common.COMPUTE_COUNTERS.as_dict()
+        after = common.COMPUTE_COUNTERS.copy()
         assert after["precise_computed"] == before["precise_computed"]
         assert after["technique_computed"] == before["technique_computed"]
         assert result.series  # the table really was assembled
 
-    def test_parallel_equivalent_to_serial(self, clean_caches):
+    def test_backfill_serves_render_from_memory(self, fresh_results):
+        """Without a disk cache, only the parent's memo can serve render:
+        a backfill under the wrong key shows up as a recomputation."""
+        lva = ApproximatorConfig(approximation_degree=4)
+        points = fig13.DRIVER.points(small=True) + [
+            fullsystem_point("swaptions", small=True),
+            fullsystem_point("swaptions", lva, small=True),
+        ]
+        SweepEngine(jobs=2).execute(points)
+        before = common.COMPUTE_COUNTERS.copy()
+        fig13.DRIVER.render(small=True)
+        common.run_fullsystem_point("swaptions", small=True)
+        common.run_fullsystem_point(
+            "swaptions", approximate=True, approximator=lva, small=True
+        )
+        after = common.COMPUTE_COUNTERS.copy()
+        for kind in ("precise", "technique", "fullsystem"):
+            assert after[f"{kind}_computed"] == before[f"{kind}_computed"], kind
+        assert after["traces_captured"] == before["traces_captured"]
+
+    def test_parallel_equivalent_to_serial(self, disk_cache):
         serial = fig13.DRIVER.render(small=True)
-        common._PRECISE_CACHE.clear()
-        common._TECHNIQUE_CACHE.clear()
         common.reset_caches()
         SweepEngine(jobs=2).execute(fig13.DRIVER.points(small=True))
         parallel = fig13.DRIVER.render(small=True)
@@ -190,7 +187,7 @@ class TestInFlightCap:
         ids=["no-timeout-two-per-worker", "timeout-one-per-worker"],
     )
     def test_peak_unfinished_futures(
-        self, clean_caches, monkeypatch, point_timeout, expected_peak
+        self, disk_cache, monkeypatch, point_timeout, expected_peak
     ):
         """Without a timeout a queued point waits behind each running one;
         a timeout clock starts at submission, so it keeps one per worker."""
@@ -233,4 +230,4 @@ class TestRunnerIntegration:
         for name in ("fig10", "fig11"):
             assert name in runner.POINTS
             pts = runner.POINTS[name](small=True, seed=0)
-            assert pts and all(p.is_fullsystem for p in pts), name
+            assert pts and all(p.fullsystem for p in pts), name

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro import faults
-from repro.experiments import common, diskcache
 
 
 @pytest.fixture(autouse=True)
@@ -14,37 +13,3 @@ def _no_stray_injection():
     faults.deactivate()
     yield
     faults.deactivate()
-
-
-@pytest.fixture
-def clean_caches(monkeypatch, tmp_path):
-    """Disk cache in tmp_path, empty in-memory caches, fresh counters."""
-    monkeypatch.delenv(diskcache.NO_CACHE_ENV, raising=False)
-    monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path / "cache"))
-    monkeypatch.setattr(diskcache, "_DISABLED_OVERRIDE", False)
-    monkeypatch.setattr(diskcache, "_ACTIVE", None)
-    monkeypatch.setattr(diskcache, "_ACTIVE_DIR", None)
-    monkeypatch.setattr(common, "COMPUTE_COUNTERS", common.ComputeCounters())
-    saved_precise = dict(common._PRECISE_CACHE)
-    saved_technique = dict(common._TECHNIQUE_CACHE)
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
-    yield
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
-    common._PRECISE_CACHE.update(saved_precise)
-    common._TECHNIQUE_CACHE.update(saved_technique)
-
-
-@pytest.fixture
-def fresh_memory_caches():
-    """Empty in-memory caches only (disk stays disabled by the root conftest)."""
-    saved_precise = dict(common._PRECISE_CACHE)
-    saved_technique = dict(common._TECHNIQUE_CACHE)
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
-    yield
-    common._PRECISE_CACHE.clear()
-    common._TECHNIQUE_CACHE.clear()
-    common._PRECISE_CACHE.update(saved_precise)
-    common._TECHNIQUE_CACHE.update(saved_technique)

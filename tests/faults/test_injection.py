@@ -20,7 +20,7 @@ def _fig13_table(small=True):
 
 
 class TestSerialSupervision:
-    def test_injected_raise_becomes_failed_cell(self, fresh_memory_caches):
+    def test_injected_raise_becomes_failed_cell(self, fresh_results):
         faults.activate("raise:mantissa_drop_bits=11")
         report = SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
 
@@ -34,7 +34,7 @@ class TestSerialSupervision:
         assert not math.isnan(table.series["normalized_mpki"]["drop-0"])
         assert "FAILED" in table.format_table()
 
-    def test_crash_in_parent_is_caught_not_fatal(self, fresh_memory_caches):
+    def test_crash_in_parent_is_caught_not_fatal(self, fresh_results):
         """A crash clause must not take down the parent process: in the
         serial engine it degrades to WorkerCrashError."""
         faults.activate(CRASH_ONE)
@@ -42,14 +42,14 @@ class TestSerialSupervision:
         assert [f.error_type for f in report.failures] == ["WorkerCrashError"]
         assert report.unique_points - len(report.failures) == 4
 
-    def test_retries_exhausted_counts_attempts(self, fresh_memory_caches):
+    def test_retries_exhausted_counts_attempts(self, fresh_results):
         faults.activate("raise:mantissa_drop_bits=11")
         engine = SweepEngine(jobs=1, retries=2, backoff_base=0.01)
         report = engine.execute(fig13.DRIVER.points(small=True))
         assert report.retried_attempts == 2
         assert report.failures[0].attempts == 3
 
-    def test_flaky_point_recovers_with_retries(self, fresh_memory_caches):
+    def test_flaky_point_recovers_with_retries(self, fresh_results):
         faults.activate("flaky:mantissa_drop_bits=11,fails=1")
         engine = SweepEngine(jobs=1, retries=1, backoff_base=0.01)
         report = engine.execute(fig13.DRIVER.points(small=True))
@@ -58,14 +58,14 @@ class TestSerialSupervision:
         table = _fig13_table()
         assert not any(math.isnan(v) for v in table.series["normalized_mpki"].values())
 
-    def test_flaky_without_retries_fails(self, fresh_memory_caches):
+    def test_flaky_without_retries_fails(self, fresh_results):
         faults.activate("flaky:mantissa_drop_bits=11,fails=1")
         report = SweepEngine(jobs=1, retries=0).execute(fig13.DRIVER.points(small=True))
         assert len(report.failures) == 1
 
 
 class TestParallelSupervision:
-    def test_worker_crash_spares_every_other_point(self, fresh_memory_caches):
+    def test_worker_crash_spares_every_other_point(self, fresh_results):
         """The acceptance scenario: an injected worker crash at one point
         leaves all other points intact; the crasher ends as a FAILED cell
         after the engine degrades to serial execution."""
@@ -82,7 +82,7 @@ class TestParallelSupervision:
         for label in ("drop-0", "drop-5", "drop-17", "drop-23"):
             assert not math.isnan(mpki[label]), label
 
-    def test_hang_reaped_by_point_timeout(self, fresh_memory_caches):
+    def test_hang_reaped_by_point_timeout(self, fresh_results):
         faults.activate("hang:mantissa_drop_bits=11,seconds=60")
         engine = SweepEngine(jobs=2, point_timeout=1.5)
         report = engine.execute(fig13.DRIVER.points(small=True))
@@ -93,7 +93,7 @@ class TestParallelSupervision:
         assert math.isnan(table.series["normalized_mpki"]["drop-11"])
         assert not math.isnan(table.series["normalized_mpki"]["drop-0"])
 
-    def test_failed_baseline_prefails_dependent_points(self, fresh_memory_caches):
+    def test_failed_baseline_prefails_dependent_points(self, fresh_results):
         faults.activate("raise:kind=precise,workload=fluidanimate")
         report = SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
 

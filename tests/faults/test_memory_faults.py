@@ -94,11 +94,12 @@ class TestActivationContext:
 
 
 class TestResultIsolation:
-    def test_faulty_and_clean_results_get_distinct_keys(self, fresh_memory_caches):
+    def test_faulty_and_clean_results_get_distinct_keys(self, fresh_results):
         clean = common.run_technique("blackscholes", Mode.LVA, small=True)
         with faults.memory_faults("flip:prob=0.2"):
             faulty = common.run_technique("blackscholes", Mode.LVA, small=True)
-        assert len(common._TECHNIQUE_CACHE) == 2
+        techniques = [key for key in common._RESULTS if key[0].kind == "technique"]
+        assert len(techniques) == 2
         assert faulty.raw["value_bit_flips"] > 0
         assert clean.raw["value_bit_flips"] == 0
         # Flipped memory values must actually change the measurement.
@@ -115,9 +116,9 @@ class TestResultIsolation:
         )
         assert clean_key != faulty_key
 
-    def test_precise_reference_is_immune(self, fresh_memory_caches):
+    def test_precise_reference_is_immune(self, fresh_results):
         clean = common.run_precise_reference("blackscholes", small=True)
-        common._PRECISE_CACHE.clear()
+        common._RESULTS.clear()
         with faults.memory_faults("flip:prob=1.0;drop:prob=0.5"):
             under_faults = common.run_precise_reference("blackscholes", small=True)
         assert clean.output == under_faults.output
@@ -133,7 +134,7 @@ class TestFaultAblationDriver:
         specs = {p.faults for p in pts}
         assert "" in specs and len(specs) == len(fault_ablation.FAULT_LEVELS)
 
-    def test_run_reports_error_and_coverage_per_level(self, fresh_memory_caches):
+    def test_run_reports_error_and_coverage_per_level(self, fresh_results):
         result = fault_ablation.DRIVER.render(small=True)
         for tag, _ in fault_ablation.FAULT_LEVELS:
             assert f"error@{tag}" in result.series
