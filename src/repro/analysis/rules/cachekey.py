@@ -15,13 +15,16 @@ reads reachable from the function — following calls to same-module
 helpers that the parameter is passed into — and reports any dataclass
 field never read. Passing the whole parameter to an *external* callable
 is treated as covering all fields (the key function may canonicalise the
-dataclass wholesale, as ``diskcache._canonical`` does).
+dataclass wholesale, as ``diskcache._canonical`` does), and so is using
+it whole as a returned value or as an element of a tuple, list, set or
+dict display (a key of ``(point,)`` hashes every field). Other uses of
+the bare name, such as ``point is None``, cover nothing.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.analysis import astutil
 from repro.analysis.core import ModuleInfo, ProjectContext, Rule, Violation, register
@@ -88,21 +91,42 @@ class _ReadCollector(ast.NodeVisitor):
         self.reads: Set[str] = set()
         #: (helper def, helper param) pairs the parameter flows into.
         self.forwards: List[Tuple[ast.FunctionDef, str]] = []
-        #: True when the whole parameter escapes to an external callable.
+        #: True when the whole parameter escapes: to an external callable,
+        #: as the returned value or into a display.
         self.escaped = False
 
+    def _is_param(self, node: Optional[ast.AST]) -> bool:
+        return (
+            isinstance(node, ast.Name)
+            and node.id == self.param_name
+            and isinstance(node.ctx, ast.Load)
+        )
+
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if isinstance(node.value, ast.Name) and node.value.id == self.param_name:
+        if self._is_param(node.value):
             self.reads.add(node.attr)
         self.generic_visit(node)
 
+    def visit_Return(self, node: ast.Return) -> None:
+        if self._is_param(node.value):
+            self.escaped = True
+        self.generic_visit(node)
+
+    def _visit_display(self, node: Union[ast.Tuple, ast.List, ast.Set]) -> None:
+        if any(self._is_param(element) for element in node.elts):
+            self.escaped = True
+        self.generic_visit(node)
+
+    visit_Tuple = visit_List = visit_Set = _visit_display
+
+    def visit_Dict(self, node: ast.Dict) -> None:
+        if any(self._is_param(item) for item in node.keys + node.values):
+            self.escaped = True
+        self.generic_visit(node)
+
     def visit_Call(self, node: ast.Call) -> None:
-        passes_param = any(
-            isinstance(arg, ast.Name) and arg.id == self.param_name
-            for arg in node.args
-        ) or any(
-            isinstance(kw.value, ast.Name) and kw.value.id == self.param_name
-            for kw in node.keywords
+        passes_param = any(self._is_param(arg) for arg in node.args) or any(
+            self._is_param(kw.value) for kw in node.keywords
         )
         if passes_param:
             callee = node.func

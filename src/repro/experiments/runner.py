@@ -23,7 +23,9 @@ Full-system experiments decompose into replay points too: the engine
 pre-captures each needed trace once into the shared trace store, then
 fans the replays out; workers memory-map the stored columns.  The few
 experiments that cannot be decomposed into points still run whole in
-worker processes.
+worker processes, unless their finished tables are already on disk.
+Whatever is already cached is served in the parent, so a fully cached
+run starts no worker process.
 """
 
 from __future__ import annotations
@@ -119,6 +121,17 @@ def _experiment_key(name: str, repeats: int, small: bool, seed: int) -> str:
     )
 
 
+def _stored_experiment(
+    name: str, repeats: int, small: bool, seed: int
+) -> Optional[ExperimentResult]:
+    """The disk-cached table of an unswept experiment, or None."""
+    disk = diskcache.active_cache()
+    if disk is None:
+        return None
+    stored = disk.get(_experiment_key(name, repeats, small, seed))
+    return stored if isinstance(stored, ExperimentResult) else None
+
+
 def _run_one(
     name: str,
     repeats: int,
@@ -139,14 +152,12 @@ def _run_one(
     picklable) records a component frame per experiment for the
     ``--profile-out`` speedscope export.
     """
-    started = time.time()
-    disk = None
-    if name not in POINTS and not profile:
-        disk = diskcache.active_cache()
-    if disk is not None:
-        stored = disk.get(_experiment_key(name, repeats, small, seed))
-        if isinstance(stored, ExperimentResult):
-            return name, stored, time.time() - started, None
+    started = time.monotonic()
+    cached = name not in POINTS and not profile
+    if cached:
+        stored = _stored_experiment(name, repeats, small, seed)
+        if stored is not None:
+            return name, stored, time.monotonic() - started, None
 
     def compute() -> ExperimentResult:
         if repeats > 1:
@@ -164,9 +175,10 @@ def _run_one(
         )
         with frame:
             result = compute()
+    disk = diskcache.active_cache() if cached else None
     if disk is not None:
         disk.put(_experiment_key(name, repeats, small, seed), result)
-    return name, result, time.time() - started, profile_text
+    return name, result, time.monotonic() - started, profile_text
 
 
 def _execute(names, args, profiler: Optional[Profiler] = None):
@@ -174,10 +186,12 @@ def _execute(names, args, profiler: Optional[Profiler] = None):
 
     Swept experiments run serially in the parent — after a sweep their
     drivers only read warm caches, so parallelising them again would buy
-    nothing.  Unswept experiments go to worker processes; completions are
-    collected with :func:`as_completed` and buffered, then yielded in the
-    requested order, so a slow first experiment no longer delays
-    *collecting* (and error-reporting) the others, only their printing.
+    nothing.  An unswept experiment whose table is on disk is served in
+    the parent too; the rest go to worker processes, and the pool starts
+    only if there are any.  Completions are collected with
+    :func:`as_completed` and buffered, then yielded in the requested
+    order, so a slow first experiment no longer delays *collecting* (and
+    error-reporting) the others, only their printing.
     """
     if args.jobs <= 1 or len(names) == 1:
         for name in names:
@@ -186,14 +200,28 @@ def _execute(names, args, profiler: Optional[Profiler] = None):
             )
         return
 
-    pooled = [i for i, name in enumerate(names) if name not in POINTS]
     completed: Dict[int, tuple] = {}
-    with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    misses: List[int] = []
+    for i, name in enumerate(names):
+        if name in POINTS:
+            continue
+        started = time.monotonic()
+        stored = (
+            None
+            if args.profile
+            else _stored_experiment(name, args.repeats, args.small, args.seed)
+        )
+        if stored is None:
+            misses.append(i)
+        else:
+            completed[i] = (name, stored, time.monotonic() - started, None)
+    pool = ProcessPoolExecutor(max_workers=args.jobs) if misses else nullcontext()
+    with pool:
         futures = {
             pool.submit(
                 _run_one, names[i], args.repeats, args.small, args.seed, args.profile
             ): i
-            for i in pooled
+            for i in misses
         }
         for i, name in enumerate(names):
             if name in POINTS:

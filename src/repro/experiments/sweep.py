@@ -11,7 +11,10 @@ This engine flips the unit of parallelism from experiments to points:
 
 1. Drivers declare their points (``DRIVER.points(small, seed)``
    alongside ``DRIVER.render``).
-2. The engine **dedupes** points across every requested experiment.
+2. The engine **dedupes** points across every requested experiment, and
+   serves in this process every point whose result the disk cache (or,
+   for a trace capture, the trace store) already holds. Only the rest
+   reach a worker, so a fully cached run starts no pool.
 3. The unique *precise baselines* implied by the points run first, fanned
    out over a :class:`~concurrent.futures.ProcessPoolExecutor` — each is
    computed **exactly once** across all workers (the wave barrier, not
@@ -41,10 +44,11 @@ instead of killing the run.
 (:class:`~repro.experiments.journal.RunJournal`, JSONL beside the disk
 cache) records each point's completion or permanent failure as it
 happens. An interrupted run — SIGINT/SIGTERM shut the pool down cleanly
-and flush the journal — resumes with ``resume=True`` (CLI ``--resume``):
-completed points are restored from the disk cache, and only the missing
-or previously failed ones are recomputed, converging to a table
-bit-identical to an uninterrupted run.
+and flush the journal — converges on a rerun: completed points are
+served from the disk cache, and only the missing or previously failed
+ones are recomputed, giving a table bit-identical to an uninterrupted
+run. ``resume=True`` (CLI ``--resume``) keeps and appends to the old
+journal and counts the points it marks done as resumed.
 """
 
 from __future__ import annotations
@@ -225,9 +229,10 @@ class SweepReport:
     traces_captured: int = 0
     #: Traces served from the memory-mapped trace store.
     trace_store_hits: int = 0
+    #: Results read from the disk cache, by this process or a worker.
     disk_hits: int = 0
     elapsed: float = 0.0
-    #: Points restored from the journal + disk cache by ``resume``.
+    #: Served points that the journal ``resume`` kept already marks done.
     resumed_points: int = 0
     #: Attempts rescheduled after a failure (each backs off with jitter).
     retried_attempts: int = 0
@@ -314,9 +319,11 @@ class SweepEngine:
         full-system points (each capture publishes its packed columns to
         the shared trace store). Wave 2 fans out the technique and
         replay points; their workers read the warm baselines from the
-        disk cache and memory-map the warm traces zero-copy.
+        disk cache and memory-map the warm traces zero-copy. Before
+        either wave, :meth:`_serve_cached` drops from both every task
+        whose result is already stored.
         """
-        started = time.time()
+        started = time.monotonic()
         requested = list(points)
         unique: List[SweepPoint] = list(dict.fromkeys(requested))
         baselines: List[SweepPoint] = list(
@@ -355,20 +362,19 @@ class SweepEngine:
         journal = self._open_journal(wave_one + wave_two)
         self._install_signal_handler()
         try:
-            if self.resume:
-                wave_one = self._restore_completed(wave_one, journal)
-                wave_two = self._restore_completed(wave_two, journal)
+            wave_one = self._serve_cached(wave_one, journal)
+            wave_two = self._serve_cached(wave_two, journal)
             self._run_wave(wave_one, journal)
             self._run_wave(self._fail_orphaned(wave_two, journal), journal)
         finally:
             self._restore_signal_handler()
             journal.close()
 
-        report.elapsed += time.time() - started
+        report.elapsed += time.monotonic() - started
         self._emit_summary(report)
         return report
 
-    # -- journal --------------------------------------------------------- #
+    # -- journal and restore pass ---------------------------------------- #
 
     def _open_journal(self, tasks: Sequence[_Task]):
         """A journal beside the disk cache; a no-op one without a cache.
@@ -381,35 +387,58 @@ class SweepEngine:
             return NullJournal()
         return RunJournal.for_keys([t.key for t in tasks], resume=self.resume)
 
-    def _restore_completed(self, tasks: List[_Task], journal) -> List[_Task]:
-        """Serve journal-completed points from the disk cache; keep the rest.
+    def _serve_cached(self, tasks: List[_Task], journal) -> List[_Task]:
+        """Serve every already-stored task in this process; keep the rest.
 
-        A ``done`` record whose cache entry has vanished (evicted,
-        corrupted, cleared) silently demotes the point back to pending —
-        the journal is bookkeeping, the cache is the source of results.
-        Previously *failed* points are always retried on resume.
+        A capture is served when the trace store holds a verified entry
+        for it, any other task when the disk cache holds a result of its
+        kind (a corrupt entry heals as a miss). A served task runs no
+        worker, so no injected point fault fires for it. It is journaled
+        as done, unless ``resume`` kept a journal that already says so:
+        then it counts as resumed. The journal is bookkeeping and the
+        caches are the source of results, so a done record whose entry
+        has vanished leaves its task to be dispatched like any other.
         """
         disk = diskcache.active_cache()
+        if disk is None:
+            return tasks
+        store = tracestore.active_store()
+        tracer = telemetry.tracer()
+        report = self.report
+        # A copy: two points can share a disk key, and the record this
+        # pass writes for the first must not make the second "resumed".
+        kept_done = set(journal.done) if self.resume else set()
         remaining: List[_Task] = []
         for task in tasks:
-            if task.key in journal.done and self._restore_one(task, disk):
-                self.report.resumed_points += 1
-                continue
-            remaining.append(task)
+            if task.kind == "capture":
+                if store is None or not store.has(task.key):
+                    remaining.append(task)
+                    continue
+                source = "store"
+            else:
+                stored = disk.get(task.key)
+                if not isinstance(stored, common.RESULT_TYPES[task.kind]):
+                    remaining.append(task)
+                    continue
+                _backfill(task.point, stored)
+                source = "disk"
+            if task.key in kept_done:
+                report.resumed_points += 1
+                source = "resumed"
+            else:
+                journal.record_done(task.kind, task.key)
+                if source == "store":
+                    report.trace_store_hits += 1
+                else:
+                    report.disk_hits += 1
+            if tracer is not None:
+                tracer.emit(
+                    "sweep.point.cached",
+                    point=task.point.describe(),
+                    kind=task.kind,
+                    source=source,
+                )
         return remaining
-
-    def _restore_one(self, task: _Task, disk) -> bool:
-        """Restore one journal-completed task from its persistent layer."""
-        if task.kind == "capture":
-            store = tracestore.active_store()
-            return store is not None and store.has(task.key)
-        if disk is None:
-            return False
-        stored = disk.get(task.key)
-        if not isinstance(stored, common.RESULT_TYPES[task.kind]):
-            return False
-        _backfill(task.point, stored)
-        return True
 
     # -- wave orchestration ---------------------------------------------- #
 

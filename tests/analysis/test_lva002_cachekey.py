@@ -86,6 +86,70 @@ def point_disk_key(point: Point) -> tuple:
         )
 
 
+PAIR = """\
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Point:
+    workload: str
+    seed: int
+"""
+
+
+class TestWholeParameter:
+    def test_point_as_tuple_element_covers_every_field(self):
+        # The in-process key of a point that hashes whole.
+        assert (
+            _hits(
+                PAIR
+                + """\
+
+
+def point_cache_key(point: Point) -> tuple:
+    return (point,)
+"""
+            )
+            == []
+        )
+
+    def test_point_returned_whole_covers_every_field(self):
+        assert (
+            _hits(
+                PAIR
+                + """\
+
+
+def point_cache_key(point: Point) -> Point:
+    return point
+"""
+            )
+            == []
+        )
+
+    def test_point_in_list_set_or_dict_display_covers_every_field(self):
+        for display in ("[point]", "{point}", "{point: 1}", "{'key': point}"):
+            source = PAIR + f"""\
+
+
+def point_cache_key(point: Point) -> object:
+    key = {display}
+    return key
+"""
+            assert _hits(source) == [], display
+
+    def test_identity_comparison_covers_nothing(self):
+        assert _hits(
+            PAIR
+            + """\
+
+
+def point_cache_key(point: Point) -> tuple:
+    return (point is None, point.seed)
+"""
+        ) == [(10, "LVA002")]
+
+
 class TestIndirection:
     def test_helper_forwarding_counts_reads(self):
         # The key function forwards the point into a same-module helper;

@@ -3,19 +3,54 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import pytest
 
+from repro import faults
 from repro.core.config import ApproximatorConfig
-from repro.experiments import common, fig4, fig12, fig13, runner
+from repro.experiments import common, diskcache, fig4, fig12, fig13, runner
 from repro.experiments.common import (
     SweepPoint,
     fullsystem_point,
+    point_disk_key,
     precise_point,
     technique_point,
 )
 from repro.experiments.sweep import SweepEngine
 from repro.sim.tracesim import Mode
+
+#: The approximate twin of a precise full-system point.
+LVA_DEGREE_4 = ApproximatorConfig(approximation_degree=4)
+
+
+def _mixed_points():
+    """fig13's small points plus two swaptions replays sharing one capture."""
+    return fig13.DRIVER.points(small=True) + [
+        fullsystem_point("swaptions", small=True),
+        fullsystem_point("swaptions", LVA_DEGREE_4, small=True),
+    ]
+
+
+def _forget_in_process_results():
+    """What a fresh process starts with: the disk state alone."""
+    common._RESULTS.clear()
+    common._TRACE_CACHE.clear()
+
+
+def _no_pool(engine):
+    raise AssertionError("a sweep with nothing to compute started a worker pool")
+
+
+class _SteppingBackClock:
+    """A wall clock that reads 1.2 s earlier every time it is read."""
+
+    def __init__(self) -> None:
+        self.now = 1_000_000.0
+
+    def __call__(self) -> float:
+        self.now -= 1.2
+        return self.now
 
 
 class TestSweepPoint:
@@ -137,22 +172,8 @@ class TestParallelEngine:
     def test_backfill_serves_render_from_memory(self, fresh_results):
         """Without a disk cache, only the parent's memo can serve render:
         a backfill under the wrong key shows up as a recomputation."""
-        lva = ApproximatorConfig(approximation_degree=4)
-        points = fig13.DRIVER.points(small=True) + [
-            fullsystem_point("swaptions", small=True),
-            fullsystem_point("swaptions", lva, small=True),
-        ]
-        SweepEngine(jobs=2).execute(points)
-        before = common.COMPUTE_COUNTERS.copy()
-        fig13.DRIVER.render(small=True)
-        common.run_fullsystem_point("swaptions", small=True)
-        common.run_fullsystem_point(
-            "swaptions", approximate=True, approximator=lva, small=True
-        )
-        after = common.COMPUTE_COUNTERS.copy()
-        for kind in ("precise", "technique", "fullsystem"):
-            assert after[f"{kind}_computed"] == before[f"{kind}_computed"], kind
-        assert after["traces_captured"] == before["traces_captured"]
+        SweepEngine(jobs=2).execute(_mixed_points())
+        _assert_render_computes_nothing()
 
     def test_parallel_equivalent_to_serial(self, disk_cache):
         serial = fig13.DRIVER.render(small=True)
@@ -160,6 +181,20 @@ class TestParallelEngine:
         SweepEngine(jobs=2).execute(fig13.DRIVER.points(small=True))
         parallel = fig13.DRIVER.render(small=True)
         assert dataclasses.asdict(parallel) == dataclasses.asdict(serial)
+
+
+def _assert_render_computes_nothing():
+    """fig13's render and the two swaptions replays are all memo hits."""
+    before = common.COMPUTE_COUNTERS.copy()
+    fig13.DRIVER.render(small=True)
+    common.run_fullsystem_point("swaptions", small=True)
+    common.run_fullsystem_point(
+        "swaptions", approximate=True, approximator=LVA_DEGREE_4, small=True
+    )
+    after = common.COMPUTE_COUNTERS.copy()
+    for kind in ("precise", "technique", "fullsystem"):
+        assert after[f"{kind}_computed"] == before[f"{kind}_computed"], kind
+    assert after["traces_captured"] == before["traces_captured"]
 
 
 class _CountingPool:
@@ -180,6 +215,20 @@ class _CountingPool:
         return getattr(self._pool, name)
 
 
+@pytest.fixture
+def counted_pools(monkeypatch):
+    """Every pool the engine builds, each wrapped in a _CountingPool."""
+    pools = []
+    new_pool = SweepEngine._new_pool
+
+    def counting_pool(engine):
+        pools.append(_CountingPool(new_pool(engine)))
+        return pools[-1]
+
+    monkeypatch.setattr(SweepEngine, "_new_pool", counting_pool)
+    return pools
+
+
 class TestInFlightCap:
     @pytest.mark.parametrize(
         "point_timeout, expected_peak",
@@ -187,24 +236,100 @@ class TestInFlightCap:
         ids=["no-timeout-two-per-worker", "timeout-one-per-worker"],
     )
     def test_peak_unfinished_futures(
-        self, disk_cache, monkeypatch, point_timeout, expected_peak
+        self, disk_cache, counted_pools, point_timeout, expected_peak
     ):
         """Without a timeout a queued point waits behind each running one;
         a timeout clock starts at submission, so it keeps one per worker."""
-        pools = []
-        new_pool = SweepEngine._new_pool
-
-        def counting_pool(engine):
-            pools.append(_CountingPool(new_pool(engine)))
-            return pools[-1]
-
-        monkeypatch.setattr(SweepEngine, "_new_pool", counting_pool)
         engine = SweepEngine(jobs=2, point_timeout=point_timeout)
         report = engine.execute(fig13.DRIVER.points(small=True))
 
         assert not report.failures
         assert report.technique_computed == 5
-        assert max(pool.peak for pool in pools) == expected_peak
+        assert max(pool.peak for pool in counted_pools) == expected_peak
+
+
+class TestRestorePass:
+    """Stored results are served in the parent; only misses reach a worker."""
+
+    def test_fully_cached_sweep_starts_no_pool(self, disk_cache, monkeypatch):
+        points = _mixed_points()
+        SweepEngine(jobs=1).execute(points)
+        _forget_in_process_results()
+        monkeypatch.setattr(SweepEngine, "_new_pool", _no_pool)
+
+        report = SweepEngine(jobs=2).execute(points)
+
+        # The counts a pooled warm run reports: 1 baseline, 5 technique
+        # points and 2 replays read from disk, 1 capture from the store.
+        assert not report.failures
+        assert report.disk_hits == 8
+        assert report.trace_store_hits == 1
+        assert report.precise_computed == report.technique_computed == 0
+        assert report.fullsystem_computed == report.traces_captured == 0
+        _assert_render_computes_nothing()
+
+    def test_one_missing_entry_submits_one_task(self, disk_cache, counted_pools):
+        points = fig13.DRIVER.points(small=True)
+        SweepEngine(jobs=1).execute(points)
+        _forget_in_process_results()
+        disk_cache._path(point_disk_key(points[2])).unlink()
+
+        report = SweepEngine(jobs=2).execute(points)
+
+        assert [len(pool.futures) for pool in counted_pools] == [1]
+        assert report.precise_computed == 0
+        assert report.technique_computed == 1
+        assert not report.failures
+
+    def test_injected_crash_spares_cached_points(self, disk_cache):
+        """Point faults fire in the worker running a point; a served point
+        runs none, so a crash clause matching it never fires. ``kind=any``
+        selects the swaptions capture and both replays (a clause selects
+        technique points by default)."""
+        points = _mixed_points()
+        SweepEngine(jobs=1).execute(points)
+        _forget_in_process_results()
+        faults.activate("crash:kind=any,workload=swaptions")
+        try:
+            report = SweepEngine(jobs=2).execute(points)
+        finally:
+            faults.deactivate()
+
+        assert not report.failures
+        assert report.pool_rebuilds == 0
+        assert report.disk_hits == 8 and report.trace_store_hits == 1
+
+    def test_resume_counts_only_points_the_kept_journal_holds(self, disk_cache):
+        """Two points can share a disk key. The record the pass writes for
+        the first must not make the second count as resumed."""
+        points = [
+            technique_point("canneal", Mode.LVA, None, small=True),
+            technique_point("canneal", Mode.LVA, ApproximatorConfig(), small=True),
+        ]
+        assert point_disk_key(points[0]) == point_disk_key(points[1])
+        SweepEngine(jobs=1).execute(points)
+        _forget_in_process_results()
+        for journal in (diskcache.default_cache_dir() / "journals").glob("*.jsonl"):
+            journal.unlink()
+
+        report = SweepEngine(jobs=1, resume=True).execute(points)
+
+        assert report.resumed_points == 0
+        assert report.disk_hits == 3  # the baseline and both points
+
+    def test_wall_clock_step_back_keeps_elapsed_non_negative(
+        self, disk_cache, monkeypatch
+    ):
+        """A backwards wall-clock step must not make the run report a
+        negative time, which no ``sweep:`` parser accepts."""
+        points = fig13.DRIVER.points(small=True)
+        SweepEngine(jobs=1).execute(points)
+        monkeypatch.setattr(time, "time", _SteppingBackClock())
+
+        report = SweepEngine(jobs=1).execute(points)
+
+        assert report.elapsed >= 0
+        assert "-" not in report.summary()
 
 
 class TestRunnerIntegration:
@@ -231,3 +356,32 @@ class TestRunnerIntegration:
             assert name in runner.POINTS
             pts = runner.POINTS[name](small=True, seed=0)
             assert pts and all(p.fullsystem for p in pts), name
+
+    def test_warm_unswept_experiments_start_no_pool(
+        self, disk_cache, monkeypatch, capsys
+    ):
+        """table2 and ablate-noc-model declare no points; with their
+        tables on disk the runner serves them without a worker process."""
+        argv = ["table2", "ablate-noc-model", "--small"]
+        assert runner.main(argv + ["--jobs", "1"]) == 0
+        cold = capsys.readouterr().out
+
+        def no_executor(*args, **kwargs):
+            raise AssertionError("a warm run created a ProcessPoolExecutor")
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", no_executor)
+        assert runner.main(argv + ["--jobs", "2"]) == 0
+        warm = capsys.readouterr().out
+
+        def tables(text):
+            return [line for line in text.splitlines() if "completed in" not in line]
+
+        assert tables(warm) == tables(cold)
+
+    def test_run_one_elapsed_survives_wall_clock_step_back(
+        self, fresh_results, monkeypatch
+    ):
+        monkeypatch.setattr(time, "time", _SteppingBackClock())
+        name, _, elapsed, _ = runner._run_one("table2", 1, True, 0)
+        assert name == "table2"
+        assert elapsed >= 0
