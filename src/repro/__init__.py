@@ -35,6 +35,10 @@ The lower layers stay importable for tooling and tinkering::
     if decision.fetch:                  # train when the block arrives
         approx.train(decision.token, actual_value)
 
+Each of these names is imported from its module the first time it is
+read, so ``import repro``, like importing ``repro.experiments.runner``,
+loads neither numpy nor a simulator (see :mod:`repro.lazy`).
+
 Subpackages:
 
 * :mod:`repro.core` — approximator, confidence, degree, GHB/LHB, hashing,
@@ -50,32 +54,37 @@ Subpackages:
 * :mod:`repro.experiments` — drivers regenerating every table and figure.
 """
 
-from repro.annotations import AuditingMemory, AuditReport, audit_workload
-from repro.api import (
-    RunResult,
-    Simulation,
-    SimulationBuilder,
-    audit,
-    build_approximator,
-    lva,
-    replay,
-    run_experiment,
-)
-from repro.core.approximator import ApproximationDecision, LoadValueApproximator
-from repro.core.config import BASELINE_CONFIG, INFINITE_WINDOW, ApproximatorConfig
-from repro.predictors.lvp import IdealizedLoadValuePredictor
-from repro.errors import (
-    AddressError,
-    ConfigurationError,
-    ReproError,
-    SimulationError,
-    WorkloadError,
-)
-from repro.fullsystem import FullSystemConfig, FullSystemResult, FullSystemSimulator
-from repro.sim.frontend import PreciseMemory
-from repro.sim.trace import PackedTrace, Trace, TraceRecorder
-from repro.sim.tracesim import Mode, TraceSimulator
-from repro.workloads.registry import get_workload, workload_names
+from typing import TYPE_CHECKING
+
+from repro import lazy
+
+if TYPE_CHECKING:
+    from repro.annotations import AuditingMemory, AuditReport, audit_workload
+    from repro.api import (
+        RunResult,
+        Simulation,
+        SimulationBuilder,
+        audit,
+        build_approximator,
+        lva,
+        replay,
+        run_experiment,
+    )
+    from repro.core.approximator import ApproximationDecision, LoadValueApproximator
+    from repro.core.config import BASELINE_CONFIG, INFINITE_WINDOW, ApproximatorConfig
+    from repro.errors import (
+        AddressError,
+        ConfigurationError,
+        ReproError,
+        SimulationError,
+        WorkloadError,
+    )
+    from repro.fullsystem import FullSystemConfig, FullSystemResult, FullSystemSimulator
+    from repro.predictors.lvp import IdealizedLoadValuePredictor
+    from repro.sim.frontend import PreciseMemory
+    from repro.sim.trace import PackedTrace, Trace, TraceRecorder
+    from repro.sim.tracesim import Mode, TraceSimulator
+    from repro.workloads.registry import get_workload, workload_names
 
 __version__ = "1.0.0"
 
@@ -114,3 +123,39 @@ __all__ = [
     "run_experiment",
     "workload_names",
 ]
+
+#: The names of ``__all__`` by defining module, each imported the first
+#: time it is read (see :mod:`repro.lazy`).
+_EXPORTS = {
+    "repro.annotations": ("AuditingMemory", "AuditReport", "audit_workload"),
+    "repro.api": (
+        "RunResult",
+        "Simulation",
+        "SimulationBuilder",
+        "audit",
+        "build_approximator",
+        "lva",
+        "replay",
+        "run_experiment",
+    ),
+    "repro.core.approximator": ("ApproximationDecision", "LoadValueApproximator"),
+    "repro.core.config": ("BASELINE_CONFIG", "INFINITE_WINDOW", "ApproximatorConfig"),
+    "repro.errors": (
+        "AddressError",
+        "ConfigurationError",
+        "ReproError",
+        "SimulationError",
+        "WorkloadError",
+    ),
+    "repro.fullsystem.config": ("FullSystemConfig",),
+    "repro.fullsystem.result": ("FullSystemResult",),
+    "repro.fullsystem.system": ("FullSystemSimulator",),
+    "repro.predictors.lvp": ("IdealizedLoadValuePredictor",),
+    "repro.sim.frontend": ("PreciseMemory",),
+    "repro.sim.mode": ("Mode",),
+    "repro.sim.trace": ("PackedTrace", "Trace", "TraceRecorder"),
+    "repro.sim.tracesim": ("TraceSimulator",),
+    "repro.workloads.registry": ("get_workload", "workload_names"),
+}
+
+__getattr__, __dir__ = lazy.attach(__name__, _EXPORTS)

@@ -28,7 +28,7 @@ from repro.experiments.common import (
     run_technique,
     technique_point,
 )
-from repro.sim.tracesim import Mode
+from repro.sim.mode import Mode
 
 TABLE_SIZES: Tuple[int, ...] = (32, 64, 128, 256, 512)
 LHB_SIZES: Tuple[int, ...] = (1, 2, 4, 8)

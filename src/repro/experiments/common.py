@@ -20,24 +20,36 @@ is the one a driver's ``render()`` finds.
 
 from __future__ import annotations
 
+import importlib
 import math
 import time
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro import faults, telemetry
 from repro.core.config import ApproximatorConfig
 from repro.predictors import registry as predictor_registry
 from repro.energy.model import EnergyBreakdown
 from repro.experiments import diskcache, tracestore
-from repro.fullsystem import FullSystemConfig, FullSystemResult, FullSystemSimulator
-from repro.sim.trace import PackedTrace, Trace, TraceRecorder
-from repro.sim.tracesim import Mode, TraceSimulator
-from repro.workloads.registry import get_workload, workload_names
+from repro.fullsystem.result import FullSystemResult
+from repro.sim.mode import Mode
 
-#: Canonical workload order used by every figure.
-BASELINE_WORKLOADS: Tuple[str, ...] = tuple(workload_names())
+if TYPE_CHECKING:
+    from repro.sim.trace import PackedTrace, Trace
+
+#: Canonical workload order used by every figure: the order of
+#: :func:`repro.workloads.registry.workload_names`, written out so that
+#: naming the workloads does not import them.
+BASELINE_WORKLOADS: Tuple[str, ...] = (
+    "blackscholes",
+    "bodytrack",
+    "canneal",
+    "ferret",
+    "fluidanimate",
+    "swaptions",
+    "x264",
+)
 
 #: Phase-2 workload parameter overrides — the paper's full-system runs use
 #: the smaller *simmedium* inputs; these overrides play the same role,
@@ -46,6 +58,28 @@ PHASE2_PARAMS: Dict[str, dict] = {
     "canneal": {"compute_cost": 1600},
     "bodytrack": {"compute_cost": 400},
 }
+
+
+#: The modules that compute a point: the phase-1 simulator, the
+#: workloads and the full-system simulator, which bring in numpy.
+#: Declaring, keying, serving and rendering a point import none of
+#: them; the functions below that compute one import what they use.
+SIMULATOR_MODULES: Tuple[str, ...] = (
+    "repro.sim.tracesim",
+    "repro.workloads.registry",
+    "repro.fullsystem.system",
+)
+
+
+def import_simulators() -> None:
+    """Import every module in :data:`SIMULATOR_MODULES` now.
+
+    Called just before a process pool starts: forked workers inherit
+    the modules instead of each importing them on its first point. A
+    serial run imports them on its first computed point instead.
+    """
+    for name in SIMULATOR_MODULES:
+        importlib.import_module(name)
 
 
 @dataclass
@@ -578,6 +612,8 @@ def _cached(point: SweepPoint):
 # --------------------------------------------------------------------- #
 
 def _workload(name: str, small: bool, params: Optional[dict] = None):
+    from repro.workloads.registry import get_workload
+
     return get_workload(name, params=params, small=small)
 
 
@@ -595,6 +631,8 @@ def run_precise_reference(
 
 
 def _compute_precise(point: SweepPoint) -> PreciseReference:
+    from repro.sim.tracesim import TraceSimulator
+
     # Precise references always execute clean: injected memory faults are
     # suppressed so error under faults is measured against an
     # uncorrupted baseline.
@@ -634,6 +672,8 @@ def run_technique(
 
 
 def _compute_technique(point: SweepPoint) -> TechniqueResult:
+    from repro.sim.tracesim import TraceSimulator
+
     params = point.params_dict()
     reference = run_precise_reference(point.workload, point.seed, point.small, params)
     workload = _workload(point.workload, point.small, params)
@@ -746,6 +786,9 @@ def capture_trace(name: str, seed: int = 0, small: bool = False) -> PackedTrace:
             COMPUTE_COUNTERS["trace_store_hits"] += 1
             _TRACE_CACHE.put(key, stored)
             return stored
+    from repro.sim.trace import TraceRecorder
+    from repro.sim.tracesim import TraceSimulator
+
     params = PHASE2_PARAMS.get(name)
     # Traces are precise replays: always captured clean (see
     # run_precise_reference). The timing below feeds telemetry gauges
@@ -777,6 +820,9 @@ def run_fullsystem(
     approximator: Optional[ApproximatorConfig] = None,
 ) -> FullSystemResult:
     """Replay a trace through the Table II platform."""
+    from repro.fullsystem.config import FullSystemConfig
+    from repro.fullsystem.system import FullSystemSimulator
+
     config = FullSystemConfig(approximate=approximate, approximator=approximator)
     # Telemetry-only wall timing; the replay result is time-independent.
     started = time.perf_counter()  # lva: ignore[LVA008]

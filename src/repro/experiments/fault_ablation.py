@@ -27,7 +27,7 @@ from repro.experiments.common import (
     run_technique,
     technique_point,
 )
-from repro.sim.tracesim import Mode
+from repro.sim.mode import Mode
 
 #: (series tag, fault spec) — "" means clean execution.
 FAULT_LEVELS: Tuple[Tuple[str, str], ...] = (

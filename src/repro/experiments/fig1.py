@@ -20,8 +20,7 @@ from repro.experiments.common import (
     precise_point,
     run_precise_reference,
 )
-from repro.sim.tracesim import Mode, TraceSimulator
-from repro.workloads.registry import get_workload
+from repro.sim.mode import Mode
 
 WORKLOAD = "bodytrack"
 
@@ -36,7 +35,14 @@ def _points(small: bool = False, seed: int = 0):
 
 
 def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
-    """Run bodytrack precisely and under baseline LVA; compare the tracks."""
+    """Run bodytrack precisely and under baseline LVA; compare the tracks.
+
+    The LVA run is simulated here on every call, so this is the one
+    render that imports the simulator even when the caches are warm.
+    """
+    from repro.sim.tracesim import TraceSimulator
+    from repro.workloads.registry import get_workload
+
     reference = run_precise_reference(WORKLOAD, seed=seed, small=small)
     workload = get_workload(WORKLOAD, small=small)
     sim = TraceSimulator(Mode.LVA)
@@ -69,6 +75,8 @@ def render_frames(
     default; the example script wires the two together.
     """
     import numpy as np
+
+    from repro.workloads.registry import get_workload
 
     workload = get_workload(WORKLOAD, small=small)
 

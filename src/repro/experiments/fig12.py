@@ -15,7 +15,7 @@ from repro.experiments.common import (
     run_technique,
     technique_point,
 )
-from repro.sim.tracesim import Mode
+from repro.sim.mode import Mode
 
 
 def _points(small: bool = False, seed: int = 0):

@@ -18,7 +18,7 @@ from repro.experiments.common import (
     run_technique,
     technique_point,
 )
-from repro.sim.tracesim import Mode
+from repro.sim.mode import Mode
 
 PRECISION_LOSS_BITS: Tuple[int, ...] = (0, 5, 11, 17, 23)
 WORKLOAD = "fluidanimate"

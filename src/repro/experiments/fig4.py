@@ -21,7 +21,7 @@ from repro.experiments.common import (
     run_technique,
     technique_point,
 )
-from repro.sim.tracesim import Mode
+from repro.sim.mode import Mode
 
 GHB_SIZES: Tuple[int, ...] = (0, 1, 2, 4)
 

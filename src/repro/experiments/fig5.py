@@ -20,7 +20,7 @@ from repro.experiments.common import (
     technique_point,
 )
 from repro.experiments.fig4 import GHB_SIZES
-from repro.sim.tracesim import Mode
+from repro.sim.mode import Mode
 
 
 def _points(small: bool = False, seed: int = 0) -> List[SweepPoint]:

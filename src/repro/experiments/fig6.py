@@ -20,7 +20,7 @@ from repro.experiments.common import (
     run_technique,
     technique_point,
 )
-from repro.sim.tracesim import Mode
+from repro.sim.mode import Mode
 
 #: (label, window) points of the sweep.
 WINDOWS: Tuple[Tuple[str, float], ...] = (

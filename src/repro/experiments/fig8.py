@@ -19,7 +19,7 @@ from repro.experiments.common import (
     run_technique,
     technique_point,
 )
-from repro.sim.tracesim import Mode
+from repro.sim.mode import Mode
 
 DEGREES: Tuple[int, ...] = (2, 4, 8, 16)
 

@@ -30,7 +30,7 @@ from repro.experiments.common import (
     run_technique,
     technique_point,
 )
-from repro.sim.tracesim import Mode
+from repro.sim.mode import Mode
 
 #: The registry predictors the comparison sweeps. A fixed tuple rather
 #: than available_predictors() so the table layout is stable even when

@@ -10,13 +10,15 @@ the phase-2 contention numbers are trustworthy.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.experiments.common import Driver, ExperimentResult
-from repro.noc.detailed import DetailedMeshNetwork, DetailedNocConfig
-from repro.noc.network import MeshNetwork, NocConfig
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.noc.detailed import DetailedMeshNetwork
+    from repro.noc.network import MeshNetwork
 
 #: Packets injected per node per cycle (offered load points).
 INJECTION_RATES: Tuple[float, ...] = (0.01, 0.02, 0.05, 0.10, 0.15)
@@ -35,16 +37,14 @@ def _traffic(rate: float, num_nodes: int, rng: np.random.Generator) -> List[Tupl
     return packets
 
 
-def _fast_latency(packets, config: NocConfig) -> float:
-    net = MeshNetwork(config)
+def _fast_latency(packets, net: MeshNetwork) -> float:
     total = 0
     for src, dst, time in packets:
         total += net.send(src, dst, time, PACKET_FLITS).latency
     return total / len(packets) if packets else 0.0
 
 
-def _detailed_latency(packets, config: DetailedNocConfig) -> float:
-    net = DetailedMeshNetwork(config)
+def _detailed_latency(packets, net: DetailedMeshNetwork) -> float:
     for src, dst, time in packets:
         net.inject(src, dst, PACKET_FLITS, time=max(time, net.cycle))
     stats = net.run(max_cycles=SIM_CYCLES * 50)
@@ -53,6 +53,11 @@ def _detailed_latency(packets, config: DetailedNocConfig) -> float:
 
 def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Sweep offered load; report both models' average latencies."""
+    import numpy as np
+
+    from repro.noc.detailed import DetailedMeshNetwork, DetailedNocConfig
+    from repro.noc.network import MeshNetwork, NocConfig
+
     rng = np.random.default_rng(seed)
     rates = INJECTION_RATES[:3] if small else INJECTION_RATES
     result = ExperimentResult(
@@ -71,8 +76,12 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
         if not packets:
             continue
         label = f"rate-{rate:g}"
-        result.add("fast_latency", label, _fast_latency(packets, fast_config))
-        result.add("detailed_latency", label, _detailed_latency(packets, detailed_config))
+        result.add("fast_latency", label, _fast_latency(packets, MeshNetwork(fast_config)))
+        result.add(
+            "detailed_latency",
+            label,
+            _detailed_latency(packets, DetailedMeshNetwork(detailed_config)),
+        )
     return result
 
 

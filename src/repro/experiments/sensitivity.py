@@ -18,7 +18,7 @@ from repro.experiments.common import (
     run_technique,
     technique_point,
 )
-from repro.sim.tracesim import Mode
+from repro.sim.mode import Mode
 
 #: (knob, low-override, high-override) around the Table II baseline.
 PERTURBATIONS: Tuple[Tuple[str, dict, dict], ...] = (

@@ -58,6 +58,7 @@ import heapq
 import itertools
 import math
 import signal
+import sys
 import threading
 import time
 from collections import Counter, deque
@@ -93,6 +94,23 @@ def _backfill(point: SweepPoint, result) -> None:
 # --------------------------------------------------------------------- #
 
 
+def _fault_target(kind: str, point: SweepPoint) -> tuple:
+    """What ``--inject`` engine clauses match a task on.
+
+    ``(kind, workload, mode, seed, small, config)``, the arguments of
+    :meth:`repro.faults.FaultClause.matches` and, with the attempt
+    number, of :func:`repro.faults.before_point`. A capture carries a
+    full-system point but matches as a clean, unconfigured run.
+    """
+    if kind == "technique":
+        mode, config = point.mode.value, point.config
+    elif kind == "fullsystem":
+        mode, config = "lva" if point.approximate else "baseline", point.config
+    else:
+        mode, config = None, None
+    return kind, point.workload, mode, point.seed, point.small, config
+
+
 def _run_worker(kind: str, point: SweepPoint, attempt: int = 0):
     """Run one task; returns (point, result, counters).
 
@@ -104,17 +122,7 @@ def _run_worker(kind: str, point: SweepPoint, attempt: int = 0):
     are reused across tasks, so cumulative values would double-count
     when aggregated.
     """
-    # What --inject clauses match on. A capture carries a full-system
-    # point but matches as a clean, unconfigured precise run.
-    if kind == "technique":
-        mode, config = point.mode.value, point.config
-    elif kind == "fullsystem":
-        mode, config = "lva" if point.approximate else "baseline", point.config
-    else:
-        mode, config = None, None
-    faults.before_point(
-        kind, point.workload, mode, point.seed, point.small, config=config, attempt=attempt
-    )
+    faults.before_point(*_fault_target(kind, point), attempt=attempt)
     before = common.COMPUTE_COUNTERS.copy()
     tracer = telemetry.tracer()
     span = nullcontext()
@@ -185,6 +193,26 @@ class _Task:
     attempts: int = 0
     #: ``time.monotonic()`` at the start of the current attempt (0 = unset).
     started: float = 0.0
+
+
+def _warn_unmatched_faults(tasks: Sequence[_Task]) -> None:
+    """Name on stderr each active engine clause that selects no task.
+
+    Such a clause injects nothing, most often because its ``kind=``
+    (default ``technique``) names a kind this sweep does not run.
+    """
+    clauses = faults.active_engine_clauses()
+    if not clauses:
+        return
+    targets = [_fault_target(task.kind, task.point) for task in tasks]
+    kinds = ", ".join(dict.fromkeys(task.kind for task in tasks)) or "none"
+    for clause in clauses:
+        if not any(clause.matches(*target) for target in targets):
+            print(
+                f"warning: --inject clause {clause.canonical()!r} selects no "
+                f"task of this sweep (task kinds: {kinds})",
+                file=sys.stderr,
+            )
 
 
 def _sigterm_to_interrupt(signum, frame):
@@ -353,6 +381,7 @@ class SweepEngine:
             for p in technique_points + fullsystem_points
         ]
 
+        _warn_unmatched_faults(wave_one + wave_two)
         tracer = telemetry.tracer()
         if tracer is not None:
             for task in wave_one + wave_two:
@@ -683,6 +712,9 @@ class SweepEngine:
         self._run_serial(remaining, journal)
 
     def _new_pool(self) -> ProcessPoolExecutor:
+        # Forked workers inherit the simulators instead of each importing
+        # them (and numpy) on its first point.
+        common.import_simulators()
         return ProcessPoolExecutor(
             max_workers=self.jobs, initializer=_pool_worker_init
         )

@@ -16,7 +16,7 @@ from repro.experiments.common import (
     run_technique,
     technique_point,
 )
-from repro.sim.tracesim import Mode
+from repro.sim.mode import Mode
 
 #: The paper's Table I, for side-by-side comparison in reports.
 PAPER_MPKI = {

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from repro.core.config import ApproximatorConfig
 from repro.experiments.common import Driver, ExperimentResult
-from repro.fullsystem.config import FullSystemConfig
 
 
 def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Collect the platform and approximator configuration values."""
+    from repro.fullsystem.config import FullSystemConfig
+
     del small, seed  # configuration is scale-independent
     approximator = ApproximatorConfig()
     system = FullSystemConfig()

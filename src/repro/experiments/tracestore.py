@@ -53,14 +53,14 @@ import tempfile
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro import telemetry
 from repro.experiments import diskcache, integrity
 from repro.faults import fsfaults
-from repro.sim.trace import TRACE_COLUMNS, PackedTrace
+
+if TYPE_CHECKING:
+    from repro.sim.trace import PackedTrace
 
 #: Bump when the packed column set or the trace-capture semantics change:
 #: every existing on-disk trace becomes unreachable (different key).
@@ -147,6 +147,10 @@ class TraceStore:
         is False. Corrupt or schema-mismatched entries count as misses
         and are deleted so the slot heals on the next capture.
         """
+        import numpy as np
+
+        from repro.sim.trace import TRACE_COLUMNS, PackedTrace
+
         entry = self._entry_dir(key)
         try:
             # A missing meta.json means "no entry" (it is written last, so
@@ -234,6 +238,10 @@ class TraceStore:
         rename race to a concurrent writer is a silent no-op, since the
         winner wrote identical bytes.
         """
+        import numpy as np
+
+        from repro.sim.trace import TRACE_COLUMNS
+
         if self._broken:
             return
         entry = self._entry_dir(key)

@@ -24,10 +24,12 @@ parameters. Two families exist:
   enter cache keys.
 
 Engine clauses select which sweep points they apply to via parameters:
-``workload=``, ``mode=``, ``seed=``, ``small=``, ``kind=``
-(``technique``/``precise``/``any``, default ``technique``) — plus any
+``workload=``, ``mode=``, ``seed=``, ``small=``, ``kind=`` — plus any
 :class:`~repro.core.config.ApproximatorConfig` field name
-(e.g. ``mantissa_drop_bits=11``) for single-point precision.
+(e.g. ``mantissa_drop_bits=11``) for single-point precision. ``kind=``
+takes every task kind the sweep engine passes: ``precise``,
+``technique``, ``capture`` (a phase-2 trace capture), ``fullsystem``
+(a phase-2 replay) or ``any``; it defaults to ``technique``.
 Storage clauses select I/O operations instead: ``target=``
 (``cache``/``trace``/``journal``/``any``), ``op=``/``site=`` (substring
 of the operation site name), ``path=`` (substring of the file path),

@@ -6,12 +6,21 @@ and — exactly like the paper's Pin tool — *clobbers the return values* of
 annotated loads with approximations, so application output error emerges
 organically. It measures the phase-1 metrics: effective MPKI, blocks
 fetched, coverage and instruction counts.
+
+The exports resolve on first use (:mod:`repro.lazy`): naming
+:class:`Mode` loads only :mod:`repro.sim.mode`, not the simulator.
 """
 
-from repro.sim.frontend import AddressSpace, MemoryFrontend, PreciseMemory, Region
-from repro.sim.stats import SimulationStats
-from repro.sim.trace import LoadEvent, PackedTrace, Trace, TraceRecorder
-from repro.sim.tracesim import Mode, TraceSimulator
+from typing import TYPE_CHECKING
+
+from repro import lazy
+
+if TYPE_CHECKING:
+    from repro.sim.frontend import AddressSpace, MemoryFrontend, PreciseMemory, Region
+    from repro.sim.mode import Mode
+    from repro.sim.stats import SimulationStats
+    from repro.sim.trace import LoadEvent, PackedTrace, Trace, TraceRecorder
+    from repro.sim.tracesim import TraceSimulator
 
 __all__ = [
     "AddressSpace",
@@ -26,3 +35,14 @@ __all__ = [
     "TraceRecorder",
     "TraceSimulator",
 ]
+
+#: The names of ``__all__`` by defining module.
+_EXPORTS = {
+    "repro.sim.frontend": ("AddressSpace", "MemoryFrontend", "PreciseMemory", "Region"),
+    "repro.sim.mode": ("Mode",),
+    "repro.sim.stats": ("SimulationStats",),
+    "repro.sim.trace": ("LoadEvent", "PackedTrace", "Trace", "TraceRecorder"),
+    "repro.sim.tracesim": ("TraceSimulator",),
+}
+
+__getattr__, __dir__ = lazy.attach(__name__, _EXPORTS)

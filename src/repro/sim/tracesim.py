@@ -22,7 +22,6 @@ workload are clobbered, which is how output error is measured (Section V-A).
 
 from __future__ import annotations
 
-import enum
 from typing import Optional, Union
 
 from repro.core.approximator import DelayQueue, LoadValueApproximator
@@ -35,6 +34,7 @@ from repro.predictors.lvp import IdealizedLoadValuePredictor
 from repro.prefetch.base import Prefetcher
 from repro.prefetch.ghb import GHBPrefetcher
 from repro.sim.frontend import MemoryFrontend
+from repro.sim.mode import Mode
 from repro.sim.stats import SimulationStats
 from repro.sim.trace import PackedTrace, Trace, TraceRecorder
 from repro.telemetry import sim_hook
@@ -43,17 +43,6 @@ Number = Union[int, float]
 
 #: L1 configuration of the design-space phase: 64 KB private data cache.
 PHASE1_L1 = CacheConfig(size_bytes=64 * 1024, associativity=8, block_bytes=64, latency=1)
-
-
-class Mode(enum.Enum):
-    """Which technique observes the L1 miss stream."""
-
-    PRECISE = "precise"
-    LVA = "lva"
-    LVP = "lvp"
-    PREFETCH = "prefetch"
-    #: Registry-resolved predictor (config.predictor / REPRO_PREDICTOR).
-    PREDICTOR = "predictor"
 
 
 class TraceSimulator(MemoryFrontend):

@@ -110,11 +110,23 @@ def check_wall(summary: Dict[str, object], tolerance_pct: float) -> Optional[str
     meaningful for serial runs — with a process pool, per-point spans
     run concurrently and legitimately sum past wall time, so only a
     shortfall beyond tolerance fails there.
+
+    A sweep that served every queued point from a cache dispatched
+    nothing, so it has no point spans to account for its wall: it
+    passes, provided the trace holds its ``sweep.summary``.
     """
     spans = summary.get("spans", {})
     point = spans.get("sweep.point") if isinstance(spans, dict) else None
     wall = summary.get("engine_wall_s")
     if point is None:
+        lifecycle = summary.get("point_lifecycle")
+        if (
+            isinstance(lifecycle, dict)
+            and lifecycle.get("queued", 0) > 0
+            and lifecycle.get("cached") == lifecycle["queued"]
+            and isinstance(wall, (int, float))
+        ):
+            return None  # every queued point was served from a cache
         return "trace has no sweep.point spans"
     if not isinstance(wall, (int, float)) or wall <= 0:
         return "trace has no sweep.summary wall time"

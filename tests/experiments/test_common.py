@@ -12,6 +12,14 @@ from repro.experiments.common import (
 from repro.sim.tracesim import Mode
 
 
+def test_baseline_workloads_follow_the_registry():
+    """The literal figure order is the registry's: naming the workloads
+    must not need their classes, but must not drift from them either."""
+    from repro.workloads.registry import workload_names
+
+    assert common.BASELINE_WORKLOADS == tuple(workload_names())
+
+
 @pytest.fixture(autouse=True)
 def _fresh():
     common.reset_caches()

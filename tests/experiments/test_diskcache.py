@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,12 @@ from repro.core.config import ApproximatorConfig
 from repro.experiments import common, diskcache
 from repro.experiments.common import (
     TechniqueResult,
+    fullsystem_point,
+    point_disk_key,
+    precise_point,
     run_precise_reference,
     run_technique,
+    technique_point,
 )
 from repro.sim.tracesim import Mode
 
@@ -122,6 +127,30 @@ class TestKeys:
         ]
         assert len({base, *variants}) == len(variants) + 1
 
+    def test_keys_are_pinned(self):
+        """Literal keys of one point of each kind and of one trace capture.
+
+        The other key tests compare keys with each other, so moving a
+        class a key canonicalizes (``Mode``, ``ApproximatorConfig``) or
+        changing a key's components would re-key every cache entry
+        without failing them; it fails here.
+        """
+        assert point_disk_key(technique_point("canneal", Mode.LVA, small=True)) == (
+            "c91aff82701c2b1c02742d36290917bf72191dd62d81e1c1dc729285286b77e2"
+        )
+        assert point_disk_key(precise_point("canneal", small=True)) == (
+            "389c86c9d91021edb5bf80ad35c40f87fd7566828d50192e2c4c4ec4ca6a254e"
+        )
+        replay = fullsystem_point(
+            "canneal", ApproximatorConfig(approximation_degree=4), small=True
+        )
+        assert point_disk_key(replay) == (
+            "1a632834c0d580817ca5dc3cf036434a981f54ed43c95499fe54372179b694f7"
+        )
+        assert common.trace_disk_key("canneal", 0, True) == (
+            "54ea5daa75abc96ca8a1a14ac6bfe35d92fbf043c5567f41df952614fece37ef"
+        )
+
     def test_schema_version_invalidates_keys(self, monkeypatch):
         """Bumping SCHEMA_VERSION must orphan every existing entry."""
         old = _fig4_key()
@@ -201,3 +230,15 @@ class TestResultCaching:
         result = run_technique("blackscholes", Mode.LVA, config=config, small=True)
         assert isinstance(result, TechniqueResult)
         assert common.COMPUTE_COUNTERS["technique_computed"] == 1
+
+    def test_replay_result_pickled_under_its_old_module_loads(self):
+        """Entries written before ``FullSystemResult`` moved to
+        ``repro.fullsystem.result`` name it by ``repro.fullsystem.system``,
+        which re-exports it, so they still load as the same type."""
+        result = common.failed_fullsystem_result("stub")
+        new = pickle.dumps(result)
+        old = new.replace(b"repro.fullsystem.result", b"repro.fullsystem.system")
+        assert old != new
+        loaded = pickle.loads(old)
+        assert isinstance(loaded, common.RESULT_TYPES["fullsystem"])
+        assert loaded.failure == "stub"

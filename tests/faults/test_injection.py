@@ -8,7 +8,7 @@ import pytest
 
 from repro import faults
 from repro.errors import FaultInjectionError, WorkerCrashError
-from repro.experiments import fig13
+from repro.experiments import fig10, fig13
 from repro.experiments.sweep import SweepEngine
 
 #: Selects exactly one of the five fig13 points (drop-11).
@@ -128,3 +128,31 @@ class TestInjectorPrimitives:
     def test_inactive_spec_is_silent(self):
         faults.deactivate()
         faults.before_point("technique", "canneal", "lva", 0, True)
+
+
+class TestUnmatchedClauseWarning:
+    """An engine clause that selects no task of a sweep is named on stderr
+    before any point runs; the waves are stubbed out, since only the
+    warning is under test."""
+
+    @pytest.fixture(autouse=True)
+    def _no_waves(self, fresh_results, monkeypatch):
+        monkeypatch.setattr(SweepEngine, "_run_wave", lambda self, tasks, journal: None)
+
+    def _stderr_of_fig10_sweep(self, capsys) -> str:
+        SweepEngine(jobs=1).execute(fig10.DRIVER.points(small=True))
+        return capsys.readouterr().err
+
+    def test_default_kind_on_fullsystem_sweep_warns(self, capsys):
+        faults.activate("crash:workload=swaptions")
+        err = self._stderr_of_fig10_sweep(capsys)
+        assert err.count("\n") == 1
+        assert "'crash:workload=swaptions' selects no task" in err
+        assert "task kinds: fullsystem" in err
+
+    def test_clause_naming_the_kind_is_silent(self, capsys):
+        faults.activate("crash:workload=swaptions,kind=fullsystem")
+        assert self._stderr_of_fig10_sweep(capsys) == ""
+
+    def test_no_active_clause_is_silent(self, capsys):
+        assert self._stderr_of_fig10_sweep(capsys) == ""

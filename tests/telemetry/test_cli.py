@@ -3,7 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+from repro.envspec import CACHE_DIR_ENV, NO_CACHE_ENV
 from repro.telemetry.cli import check_wall, main, summarize
 from repro.telemetry.profiling import Profiler
 from repro.telemetry.tracing import TraceWriter, read_trace
@@ -73,6 +80,53 @@ class TestCheckWall:
             writer.emit("sweep.summary", elapsed_s=1.0)
         error = check_wall(summarize(read_trace(path)), tolerance_pct=5)
         assert error is not None and "no sweep.point spans" in error
+
+
+def _write_served_trace(path, queued=2, cached=2, summary=True):
+    """A trace of a sweep that served ``cached`` of its ``queued`` points
+    from the caches and dispatched none."""
+    with TraceWriter(path) as writer:
+        for i in range(queued):
+            writer.emit("sweep.point.queued", point=f"p{i}")
+        for i in range(cached):
+            writer.emit("sweep.point.cached", point=f"p{i}", source="disk")
+        if summary:
+            writer.emit("sweep.summary", elapsed_s=0.002, failed=0)
+    return path
+
+
+class TestCheckWallServedSweep:
+    def test_every_point_served_passes(self, tmp_path):
+        path = _write_served_trace(tmp_path / "t.jsonl")
+        assert check_wall(summarize(read_trace(path)), tolerance_pct=5) is None
+
+    def test_served_sweep_without_summary_fails(self, tmp_path):
+        path = _write_served_trace(tmp_path / "t.jsonl", summary=False)
+        error = check_wall(summarize(read_trace(path)), tolerance_pct=5)
+        assert error is not None and "no sweep.point spans" in error
+
+    def test_dispatched_point_without_span_fails(self, tmp_path):
+        path = _write_served_trace(tmp_path / "t.jsonl", queued=2, cached=1)
+        error = check_wall(summarize(read_trace(path)), tolerance_pct=5)
+        assert error is not None and "no sweep.point spans" in error
+
+    @pytest.mark.slow
+    def test_warm_traced_fig13_rerender_passes(self, tmp_path):
+        """The second of two identical runs finds all six points in the
+        disk cache, so its trace has no point spans, and still passes."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env[CACHE_DIR_ENV] = str(tmp_path / "cache")
+        env.pop(NO_CACHE_ENV, None)
+        trace = tmp_path / "warm.jsonl"
+        argv = [sys.executable, "-m", "repro.experiments", "fig13", "--small"]
+        argv += ["--jobs", "1", "--retries", "1"]
+        for extra in ([], ["--trace", str(trace)]):
+            subprocess.run(argv + extra, env=env, capture_output=True, check=True)
+        summary = summarize(read_trace(trace))
+        assert summary["point_lifecycle"] == {"cached": 6, "queued": 6}
+        assert "sweep.point" not in summary["spans"]
+        assert main([str(trace), "--check-wall", "5"]) == 0
 
 
 class TestMain:

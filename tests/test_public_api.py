@@ -2,6 +2,11 @@
 
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +48,62 @@ class TestImports:
 
     def test_version(self):
         assert repro.__version__
+
+    def test_dir_lists_every_export(self):
+        assert set(repro.__all__) <= set(dir(repro))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name  # noqa: B018
+
+
+#: Run in a fresh interpreter: this process has imported everything.
+LAZY_SCRIPT = """
+import json, sys
+
+def simulators():
+    heavy = ("numpy", "repro.api", "repro.sim.tracesim", "repro.fullsystem.system")
+    return sorted(name for name in heavy if name in sys.modules)
+
+import repro
+steps = {"import repro": simulators()}
+from repro import Mode, FullSystemResult
+from repro.fullsystem import FullSystemConfig
+steps["light names"] = simulators()
+from repro import TraceSimulator
+steps["TraceSimulator"] = simulators()
+from repro import envspec
+steps["envspec"] = envspec.__name__
+steps["Mode"] = Mode.__module__
+steps["experiments"] = repro.experiments.__name__
+steps["api"] = repro.api.Simulation.__module__
+steps["sim.tracesim"] = repro.sim.tracesim.Mode is Mode
+print(json.dumps(steps))
+"""
+
+
+class TestLazyExports:
+    def test_names_resolve_on_first_use(self):
+        """``import repro`` loads no simulator; each name and subpackage
+        resolves when first read, whichever way it is imported."""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        completed = subprocess.run(
+            [sys.executable, "-c", LAZY_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert json.loads(completed.stdout) == {
+            "import repro": [],
+            "light names": [],
+            "TraceSimulator": ["numpy", "repro.sim.tracesim"],
+            "envspec": "repro.envspec",
+            "Mode": "repro.sim.mode",
+            "experiments": "repro.experiments",
+            "api": "repro.api",
+            "sim.tracesim": True,
+        }
 
 
 class TestExceptionHierarchy:
