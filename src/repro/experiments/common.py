@@ -20,7 +20,6 @@ is the one a driver's ``render()`` finds.
 
 from __future__ import annotations
 
-import importlib
 import math
 import time
 from collections import Counter, OrderedDict
@@ -58,28 +57,6 @@ PHASE2_PARAMS: Dict[str, dict] = {
     "canneal": {"compute_cost": 1600},
     "bodytrack": {"compute_cost": 400},
 }
-
-
-#: The modules that compute a point: the phase-1 simulator, the
-#: workloads and the full-system simulator, which bring in numpy.
-#: Declaring, keying, serving and rendering a point import none of
-#: them; the functions below that compute one import what they use.
-SIMULATOR_MODULES: Tuple[str, ...] = (
-    "repro.sim.tracesim",
-    "repro.workloads.registry",
-    "repro.fullsystem.system",
-)
-
-
-def import_simulators() -> None:
-    """Import every module in :data:`SIMULATOR_MODULES` now.
-
-    Called just before a process pool starts: forked workers inherit
-    the modules instead of each importing them on its first point. A
-    serial run imports them on its first computed point instead.
-    """
-    for name in SIMULATOR_MODULES:
-        importlib.import_module(name)
 
 
 @dataclass

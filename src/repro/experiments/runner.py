@@ -42,7 +42,6 @@ from repro.errors import ConfigurationError
 from repro.telemetry.profiling import Profiler, profile_to_text
 from repro.experiments import (
     ablations,
-    common,
     diskcache,
     fault_ablation,
     fig1,
@@ -216,8 +215,6 @@ def _execute(names, args, profiler: Optional[Profiler] = None):
             misses.append(i)
         else:
             completed[i] = (name, stored, time.monotonic() - started, None)
-    if misses:
-        common.import_simulators()  # once here, not once per forked worker
     pool = ProcessPoolExecutor(max_workers=args.jobs) if misses else nullcontext()
     with pool:
         futures = {

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import importlib
 import itertools
 import math
 import signal
@@ -714,7 +715,8 @@ class SweepEngine:
     def _new_pool(self) -> ProcessPoolExecutor:
         # Forked workers inherit the simulators instead of each importing
         # them (and numpy) on its first point.
-        common.import_simulators()
+        for name in ("repro.sim.tracesim", "repro.workloads.registry", "repro.fullsystem.system"):
+            importlib.import_module(name)
         return ProcessPoolExecutor(
             max_workers=self.jobs, initializer=_pool_worker_init
         )
