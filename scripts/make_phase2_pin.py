@@ -8,7 +8,7 @@ Traces are captured the way ``capture_trace`` captures them (a precise
 ``PHASE2_PARAMS`` input scaling, memory faults suppressed). Each entry
 holds every ``FullSystemResult`` field, each core's ``CoreStats``, the
 ``CacheStats`` of every L1 and the L2, the ``NetworkStats``,
-``DirectoryStats``, DRAM counters and dropped trainings, each
+``DirectoryStats`` and dropped trainings, each
 approximator's counters, plus SHA-256 digests of the final L1 and L2
 contents, of every link's occupancy and counters, and of the trace.
 ``tests/fullsystem/test_phase2_pin.py`` recomputes every entry and compares.
@@ -57,7 +57,6 @@ CONFIGS: Dict[str, dict] = {
     "lva-degree0": _lva(0),
     "lva-degree4": _lva(4),
     "lva-degree16": _lva(16),
-    "precise-dram": {"memory_model": "dram"},
 }
 
 #: Every pinned entry, as ``"<workload>/<config>"``.
@@ -119,7 +118,6 @@ def run_entry(key: str) -> dict:
         "l2": sim.l2.stats.as_dict(),
         "noc": dataclasses.asdict(sim.noc.stats),
         "directory": dataclasses.asdict(sim.directory.stats),
-        "dram": dataclasses.asdict(sim.dram.stats) if sim.dram is not None else None,
         "dropped_trainings": sim.dropped_trainings,
         "approximators": _approximator_counters(sim),
         "digests": {

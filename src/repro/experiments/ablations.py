@@ -21,13 +21,7 @@ from typing import Tuple
 
 from repro.core.config import ApproximatorConfig
 from repro.core.functions import COMPUTE_FUNCTIONS
-from repro.experiments.common import (
-    BASELINE_WORKLOADS,
-    Driver,
-    ExperimentResult,
-    run_technique,
-    technique_point,
-)
+from repro.experiments.common import BASELINE_WORKLOADS, Driver, ExperimentResult, run_technique
 from repro.sim.mode import Mode
 
 TABLE_SIZES: Tuple[int, ...] = (32, 64, 128, 256, 512)
@@ -35,21 +29,6 @@ LHB_SIZES: Tuple[int, ...] = (1, 2, 4, 8)
 CONFIDENCE_STEPS: Tuple[int, ...] = (1, 2, 4)
 #: Benchmarks with integer-typed annotated data (Section IV-A).
 INT_WORKLOADS: Tuple[str, ...] = ("bodytrack", "canneal", "x264")
-
-
-def _table_size_points(small: bool = False, seed: int = 0):
-    """Sweep points for :func:`_table_size`."""
-    return [
-        technique_point(
-            name,
-            Mode.LVA,
-            ApproximatorConfig(table_entries=entries),
-            seed=seed,
-            small=small,
-        )
-        for name in BASELINE_WORKLOADS
-        for entries in TABLE_SIZES
-    ]
 
 
 def _table_size(small: bool = False, seed: int = 0) -> ExperimentResult:
@@ -67,17 +46,6 @@ def _table_size(small: bool = False, seed: int = 0) -> ExperimentResult:
     return result
 
 
-def _lhb_size_points(small: bool = False, seed: int = 0):
-    """Sweep points for :func:`_lhb_size`."""
-    return [
-        technique_point(
-            name, Mode.LVA, ApproximatorConfig(lhb_size=size), seed=seed, small=small
-        )
-        for name in BASELINE_WORKLOADS
-        for size in LHB_SIZES
-    ]
-
-
 def _lhb_size(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Sweep the local-history depth feeding the AVERAGE function."""
     result = ExperimentResult(
@@ -91,17 +59,6 @@ def _lhb_size(small: bool = False, seed: int = 0) -> ExperimentResult:
             result.add(f"mpki-lhb-{size}", name, lva.normalized_mpki)
             result.add(f"error-lhb-{size}", name, lva.output_error)
     return result
-
-
-def _compute_function_points(small: bool = False, seed: int = 0):
-    """Sweep points for :func:`_compute_function`."""
-    return [
-        technique_point(
-            name, Mode.LVA, ApproximatorConfig(compute_fn=fn), seed=seed, small=small
-        )
-        for name in BASELINE_WORKLOADS
-        for fn in sorted(COMPUTE_FUNCTIONS)
-    ]
 
 
 def _compute_function(small: bool = False, seed: int = 0) -> ExperimentResult:
@@ -118,21 +75,6 @@ def _compute_function(small: bool = False, seed: int = 0) -> ExperimentResult:
             result.add(f"mpki-{fn}", name, lva.normalized_mpki)
             result.add(f"error-{fn}", name, lva.output_error)
     return result
-
-
-def _int_confidence_points(small: bool = False, seed: int = 0):
-    """Sweep points for :func:`_int_confidence`."""
-    return [
-        technique_point(
-            name,
-            Mode.LVA,
-            ApproximatorConfig(apply_confidence_to_ints=gated),
-            seed=seed,
-            small=small,
-        )
-        for name in INT_WORKLOADS
-        for gated in (False, True)
-    ]
 
 
 def _int_confidence(small: bool = False, seed: int = 0) -> ExperimentResult:
@@ -164,25 +106,6 @@ def _int_confidence(small: bool = False, seed: int = 0) -> ExperimentResult:
     return result
 
 
-def _confidence_steps_points(small: bool = False, seed: int = 0):
-    """Sweep points for :func:`_confidence_steps`."""
-    return [
-        technique_point(
-            name,
-            Mode.LVA,
-            ApproximatorConfig(
-                confidence_step_max=step,
-                apply_confidence_to_ints=True,
-                apply_confidence_to_floats=True,
-            ),
-            seed=seed,
-            small=small,
-        )
-        for name in BASELINE_WORKLOADS
-        for step in CONFIDENCE_STEPS
-    ]
-
-
 def _confidence_steps(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Variable-step confidence updates (the paper's deferred optimisation).
 
@@ -208,9 +131,9 @@ def _confidence_steps(small: bool = False, seed: int = 0) -> ExperimentResult:
 
 #: One :class:`~repro.experiments.common.Driver` per ablation.
 DRIVERS = {
-    "ablate-table-size": Driver(name="ablate-table-size", render_fn=_table_size, points_fn=_table_size_points),
-    "ablate-lhb-size": Driver(name="ablate-lhb-size", render_fn=_lhb_size, points_fn=_lhb_size_points),
-    "ablate-compute-fn": Driver(name="ablate-compute-fn", render_fn=_compute_function, points_fn=_compute_function_points),
-    "ablate-int-confidence": Driver(name="ablate-int-confidence", render_fn=_int_confidence, points_fn=_int_confidence_points),
-    "ablate-confidence-steps": Driver(name="ablate-confidence-steps", render_fn=_confidence_steps, points_fn=_confidence_steps_points),
+    "ablate-table-size": Driver(name="ablate-table-size", render_fn=_table_size),
+    "ablate-lhb-size": Driver(name="ablate-lhb-size", render_fn=_lhb_size),
+    "ablate-compute-fn": Driver(name="ablate-compute-fn", render_fn=_compute_function),
+    "ablate-int-confidence": Driver(name="ablate-int-confidence", render_fn=_int_confidence),
+    "ablate-confidence-steps": Driver(name="ablate-confidence-steps", render_fn=_confidence_steps),
 }

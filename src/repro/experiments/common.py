@@ -154,21 +154,46 @@ class Driver:
     module a ``DRIVERS`` mapping); the runner, the sweep engine and
     programmatic callers all go through it:
 
-    * :meth:`points` — declare the sweep points this experiment needs
-      (empty for experiments that cannot be decomposed, e.g. Table II);
     * :meth:`render` — assemble the figure/table from the result memo
-      the sweep engine warmed, computing any point it lacks.
+      the sweep engine warmed, computing any point it lacks;
+    * :meth:`points` — the sweep points the render needs, declared by
+      running it once with every run function answering a placeholder.
+
+    So the render is the one place a swept driver states its grid. For
+    the declaring pass to see that grid, a swept render reads results
+    only through :func:`run_precise_reference`, :func:`run_technique`
+    and :func:`run_fullsystem_point`, and which calls it makes never
+    depends on a result's value. It must also accept the FAILED
+    placeholders (:data:`FAILED_RESULTS`), which it gets back during the
+    pass and for a point that exhausted its retries. ``swept=False``
+    marks an experiment that calls no run function (Table II, the NoC
+    calibration): it declares no points and runs whole.
     """
 
     name: str
     render_fn: Callable[..., ExperimentResult]
-    points_fn: Optional[Callable[..., "List[SweepPoint]"]] = None
+    swept: bool = True
 
     def points(self, small: bool = False, seed: int = 0) -> "List[SweepPoint]":
-        """The sweep points this experiment needs (may be empty)."""
-        if self.points_fn is None:
+        """The sweep points this experiment needs (may be empty).
+
+        A precise point that is the baseline of a technique point the
+        render also asked for is left out: the engine schedules every
+        technique point's baseline anyway.
+        """
+        if not self.swept:
             return []
-        return self.points_fn(small=small, seed=seed)
+        global _DECLARED
+        declared: List[SweepPoint] = []
+        _DECLARED = declared
+        try:
+            # Through ``self.render``, so a wrapper installed on it (a
+            # profiler's layer timer) counts the pass as rendering.
+            self.render(small=small, seed=seed)
+        finally:
+            _DECLARED = None
+        implied = {point.baseline() for point in declared if point.kind == "technique"}
+        return [p for p in declared if p.kind != "precise" or p not in implied]
 
     def render(self, small: bool = False, seed: int = 0) -> ExperimentResult:
         """Assemble the figure/table (cheap once the caches are warm)."""
@@ -261,11 +286,15 @@ def technique_point(
     params: Optional[dict] = None,
     faults: str = "",
 ) -> SweepPoint:
-    """A point mirroring one :func:`run_technique` call."""
+    """A point mirroring one :func:`run_technique` call.
+
+    No config means the default one, which the point stores, so the two
+    spellings are one point (their disk keys were already equal).
+    """
     return SweepPoint(
         workload=workload,
         mode=mode,
-        config=config,
+        config=config if config is not None else ApproximatorConfig(),
         prefetch_degree=prefetch_degree,
         seed=seed,
         small=small,
@@ -370,7 +399,8 @@ def failed_fullsystem_result(message: str) -> FullSystemResult:
     """A placeholder for a full-system point that exhausted its retries.
 
     NaN timing/energy fields render as FAILED cells through the figure
-    drivers' ratio properties.
+    drivers' ratio properties. Every energy component is NaN: an
+    all-zero breakdown would read as a replay that spent no energy.
     """
     nan = float("nan")
     return FullSystemResult(
@@ -385,7 +415,7 @@ def failed_fullsystem_result(message: str) -> FullSystemResult:
         noc_flit_hops=0,
         approximator_accesses=0,
         total_miss_latency=nan,
-        energy=EnergyBreakdown(),
+        energy=EnergyBreakdown(nan, nan, nan, nan, nan),
         core_cycles=[],
         failure=message,
     )
@@ -548,6 +578,11 @@ _RESULTS: Dict[tuple, object] = {}
 COMPUTE_COUNTERS: Counter = Counter()
 
 
+#: The points :meth:`Driver.points` has recorded so far, while it runs a
+#: render; None otherwise.
+_DECLARED: Optional[List[SweepPoint]] = None
+
+
 def _cached(point: SweepPoint):
     """One point's result: from the memo, the disk cache, or computed.
 
@@ -555,8 +590,16 @@ def _cached(point: SweepPoint):
     simulations are deterministic, so every layer returns identical
     data. Each kind's compute function is called directly: LVA008 walks
     direct calls, and a callback would hide the replay from it.
+
+    While :meth:`Driver.points` declares a render's points, this only
+    records the point (with the active fault spec folded in, as its
+    memo key holds it) and returns the FAILED placeholder: no cache is
+    read or written and nothing is computed or counted.
     """
     kind = point.kind
+    if _DECLARED is not None:
+        _DECLARED.append(point_cache_key(point)[0])
+        return FAILED_RESULTS[kind]("declared")
     key = point_cache_key(point)
     cached = _RESULTS.get(key)
     if cached is not None:

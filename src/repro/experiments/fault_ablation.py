@@ -17,16 +17,10 @@ MPKI but do not corrupt values.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from repro import faults
-from repro.experiments.common import (
-    Driver,
-    ExperimentResult,
-    SweepPoint,
-    run_technique,
-    technique_point,
-)
+from repro.experiments.common import Driver, ExperimentResult, run_technique
 from repro.sim.mode import Mode
 
 #: (series tag, fault spec) — "" means clean execution.
@@ -43,15 +37,6 @@ FAULT_LEVELS: Tuple[Tuple[str, str], ...] = (
 #: One float-heavy, one int-heavy, one mixed workload — enough to show
 #: the type-dependent fault response without sweeping the whole suite.
 WORKLOADS: Tuple[str, ...] = ("blackscholes", "canneal", "fluidanimate")
-
-
-def _points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
-    """The sweep points :func:`_render` consumes (for the parallel engine)."""
-    return [
-        technique_point(name, Mode.LVA, seed=seed, small=small, faults=spec)
-        for name in WORKLOADS
-        for _, spec in FAULT_LEVELS
-    ]
 
 
 def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
@@ -78,4 +63,4 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
 
 #: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="ablate-memory-faults", render_fn=_render, points_fn=_points)
+DRIVER = Driver(name="ablate-memory-faults", render_fn=_render)

@@ -9,15 +9,13 @@ at 4, 12.6 % at 16, up to 44.1 % for bodytrack).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.core.config import ApproximatorConfig
 from repro.experiments.common import (
     BASELINE_WORKLOADS,
     Driver,
     ExperimentResult,
-    SweepPoint,
-    fullsystem_point,
     run_fullsystem_point,
 )
 
@@ -26,22 +24,6 @@ DEGREES: Tuple[int, ...] = (0, 2, 4, 8, 16)
 
 def _config(degree: int) -> ApproximatorConfig:
     return ApproximatorConfig(approximation_degree=degree)
-
-
-def _points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
-    """The sweep points :func:`_render` consumes (for the parallel engine).
-
-    One precise-baseline replay plus one LVA replay per degree, per
-    workload. The engine pre-captures each workload's trace once into
-    the shared trace store, so the fan-out replays map it instead of
-    re-running the workload.
-    """
-    pts: List[SweepPoint] = []
-    for name in BASELINE_WORKLOADS:
-        pts.append(fullsystem_point(name, seed=seed, small=small))
-        for degree in DEGREES:
-            pts.append(fullsystem_point(name, _config(degree), seed=seed, small=small))
-    return pts
 
 
 def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
@@ -74,4 +56,4 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
 
 #: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="fig10", render_fn=_render, points_fn=_points)
+DRIVER = Driver(name="fig10", render_fn=_render)

@@ -8,22 +8,8 @@ smaller approximator tables suffice (Section VII-A).
 
 from __future__ import annotations
 
-from repro.experiments.common import (
-    BASELINE_WORKLOADS,
-    Driver,
-    ExperimentResult,
-    run_technique,
-    technique_point,
-)
+from repro.experiments.common import BASELINE_WORKLOADS, Driver, ExperimentResult, run_technique
 from repro.sim.mode import Mode
-
-
-def _points(small: bool = False, seed: int = 0):
-    """The sweep points :func:`_render` consumes (for the parallel engine)."""
-    return [
-        technique_point(name, Mode.LVA, seed=seed, small=small)
-        for name in BASELINE_WORKLOADS
-    ]
 
 
 def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
@@ -41,4 +27,4 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
 
 #: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="fig12", render_fn=_render, points_fn=_points)
+DRIVER = Driver(name="fig12", render_fn=_render)

@@ -12,12 +12,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.core.config import ApproximatorConfig
-from repro.experiments.common import (
-    Driver,
-    ExperimentResult,
-    run_technique,
-    technique_point,
-)
+from repro.experiments.common import Driver, ExperimentResult, run_technique
 from repro.sim.mode import Mode
 
 PRECISION_LOSS_BITS: Tuple[int, ...] = (0, 5, 11, 17, 23)
@@ -33,14 +28,6 @@ def _config(bits: int) -> ApproximatorConfig:
     )
 
 
-def _points(small: bool = False, seed: int = 0):
-    """The sweep points :func:`_render` consumes (for the parallel engine)."""
-    return [
-        technique_point(WORKLOAD, Mode.LVA, _config(bits), seed=seed, small=small)
-        for bits in PRECISION_LOSS_BITS
-    ]
-
-
 def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Sweep mantissa truncation for fluidanimate at GHB size 2."""
     result = ExperimentResult(
@@ -49,13 +36,7 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
         meta={"expectation": "MPKI falls as precision loss grows"},
     )
     for bits in PRECISION_LOSS_BITS:
-        config = ApproximatorConfig(
-            ghb_size=2,
-            mantissa_drop_bits=bits,
-            apply_confidence_to_floats=False,
-            apply_confidence_to_ints=False,
-        )
-        lva = run_technique(WORKLOAD, Mode.LVA, config=config, seed=seed, small=small)
+        lva = run_technique(WORKLOAD, Mode.LVA, config=_config(bits), seed=seed, small=small)
         result.add("normalized_mpki", f"drop-{bits}", lva.normalized_mpki)
         result.add("output_error", f"drop-{bits}", lva.output_error)
     return result
@@ -63,4 +44,4 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
 
 #: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="fig13", render_fn=_render, points_fn=_points)
+DRIVER = Driver(name="fig13", render_fn=_render)

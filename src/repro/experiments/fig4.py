@@ -10,31 +10,13 @@ the approximator index, especially for floating-point data.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.core.config import ApproximatorConfig
-from repro.experiments.common import (
-    BASELINE_WORKLOADS,
-    Driver,
-    ExperimentResult,
-    SweepPoint,
-    run_technique,
-    technique_point,
-)
+from repro.experiments.common import BASELINE_WORKLOADS, Driver, ExperimentResult, run_technique
 from repro.sim.mode import Mode
 
 GHB_SIZES: Tuple[int, ...] = (0, 1, 2, 4)
-
-
-def _points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
-    """The sweep points :func:`_render` consumes (for the parallel engine)."""
-    out: List[SweepPoint] = []
-    for name in BASELINE_WORKLOADS:
-        for ghb in GHB_SIZES:
-            config = ApproximatorConfig(ghb_size=ghb)
-            out.append(technique_point(name, Mode.LVP, config, seed=seed, small=small))
-            out.append(technique_point(name, Mode.LVA, config, seed=seed, small=small))
-    return out
 
 
 def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
@@ -62,4 +44,4 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
 
 #: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="fig4", render_fn=_render, points_fn=_points)
+DRIVER = Driver(name="fig4", render_fn=_render)

@@ -8,30 +8,11 @@ patterns correlate several distinct properties (fluidanimate).
 
 from __future__ import annotations
 
-from typing import List
 
 from repro.core.config import ApproximatorConfig
-from repro.experiments.common import (
-    BASELINE_WORKLOADS,
-    Driver,
-    ExperimentResult,
-    SweepPoint,
-    run_technique,
-    technique_point,
-)
+from repro.experiments.common import BASELINE_WORKLOADS, Driver, ExperimentResult, run_technique
 from repro.experiments.fig4 import GHB_SIZES
 from repro.sim.mode import Mode
-
-
-def _points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
-    """Every point here also appears in Figure 4 — the engine dedupes."""
-    return [
-        technique_point(
-            name, Mode.LVA, ApproximatorConfig(ghb_size=ghb), seed=seed, small=small
-        )
-        for name in BASELINE_WORKLOADS
-        for ghb in GHB_SIZES
-    ]
 
 
 def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
@@ -53,4 +34,4 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
 
 #: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="fig5", render_fn=_render, points_fn=_points)
+DRIVER = Driver(name="fig5", render_fn=_render)

@@ -13,13 +13,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.core.config import INFINITE_WINDOW, ApproximatorConfig
-from repro.experiments.common import (
-    BASELINE_WORKLOADS,
-    Driver,
-    ExperimentResult,
-    run_technique,
-    technique_point,
-)
+from repro.experiments.common import BASELINE_WORKLOADS, Driver, ExperimentResult, run_technique
 from repro.sim.mode import Mode
 
 #: (label, window) points of the sweep.
@@ -43,15 +37,6 @@ def _config(window: float) -> ApproximatorConfig:
     )
 
 
-def _points(small: bool = False, seed: int = 0):
-    """The sweep points :func:`_render` consumes (for the parallel engine)."""
-    return [
-        technique_point(name, Mode.LVA, _config(window), seed=seed, small=small)
-        for name in BASELINE_WORKLOADS
-        for _, window in WINDOWS
-    ]
-
-
 def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Sweep relaxed confidence windows, recording MPKI and error."""
     result = ExperimentResult(
@@ -71,4 +56,4 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
 
 #: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="fig6", render_fn=_render, points_fn=_points)
+DRIVER = Driver(name="fig6", render_fn=_render)

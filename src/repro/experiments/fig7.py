@@ -12,27 +12,10 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.core.config import ApproximatorConfig
-from repro.experiments.common import (
-    BASELINE_WORKLOADS,
-    Driver,
-    ExperimentResult,
-    run_technique,
-    technique_point,
-)
+from repro.experiments.common import BASELINE_WORKLOADS, Driver, ExperimentResult, run_technique
 from repro.sim.mode import Mode
 
 DELAYS: Tuple[int, ...] = (4, 8, 16, 32)
-
-
-def _points(small: bool = False, seed: int = 0):
-    """The sweep points :func:`_render` consumes (for the parallel engine)."""
-    return [
-        technique_point(
-            name, Mode.LVA, ApproximatorConfig(value_delay=delay), seed=seed, small=small
-        )
-        for name in BASELINE_WORKLOADS
-        for delay in DELAYS
-    ]
 
 
 def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
@@ -57,4 +40,4 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
 
 #: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="fig7", render_fn=_render, points_fn=_points)
+DRIVER = Driver(name="fig7", render_fn=_render)

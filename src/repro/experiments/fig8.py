@@ -12,38 +12,10 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.core.config import ApproximatorConfig
-from repro.experiments.common import (
-    BASELINE_WORKLOADS,
-    Driver,
-    ExperimentResult,
-    run_technique,
-    technique_point,
-)
+from repro.experiments.common import BASELINE_WORKLOADS, Driver, ExperimentResult, run_technique
 from repro.sim.mode import Mode
 
 DEGREES: Tuple[int, ...] = (2, 4, 8, 16)
-
-
-def _points(small: bool = False, seed: int = 0):
-    """The sweep points :func:`_render` consumes (for the parallel engine)."""
-    out = []
-    for name in BASELINE_WORKLOADS:
-        for degree in DEGREES:
-            out.append(
-                technique_point(
-                    name, Mode.PREFETCH, prefetch_degree=degree, seed=seed, small=small
-                )
-            )
-            out.append(
-                technique_point(
-                    name,
-                    Mode.LVA,
-                    ApproximatorConfig(approximation_degree=degree),
-                    seed=seed,
-                    small=small,
-                )
-            )
-    return out
 
 
 def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
@@ -79,4 +51,4 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
 
 #: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="fig8", render_fn=_render, points_fn=_points)
+DRIVER = Driver(name="fig8", render_fn=_render)

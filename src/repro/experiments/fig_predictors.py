@@ -19,17 +19,10 @@ historical implementations (pinned by ``tests/experiments/test_fig_predictors.py
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.core.config import ApproximatorConfig
-from repro.experiments.common import (
-    BASELINE_WORKLOADS,
-    Driver,
-    ExperimentResult,
-    SweepPoint,
-    run_technique,
-    technique_point,
-)
+from repro.experiments.common import BASELINE_WORKLOADS, Driver, ExperimentResult, run_technique
 from repro.sim.mode import Mode
 
 #: The registry predictors the comparison sweeps. A fixed tuple rather
@@ -40,19 +33,6 @@ PREDICTORS: Tuple[str, ...] = ("lva", "lvp", "clp", "hybrid")
 
 def _config(predictor: str) -> ApproximatorConfig:
     return ApproximatorConfig(predictor=predictor)
-
-
-def _points(small: bool = False, seed: int = 0) -> List[SweepPoint]:
-    """The sweep points :func:`_render` consumes (for the parallel engine)."""
-    out: List[SweepPoint] = []
-    for name in BASELINE_WORKLOADS:
-        for predictor in PREDICTORS:
-            out.append(
-                technique_point(
-                    name, Mode.PREDICTOR, _config(predictor), seed=seed, small=small
-                )
-            )
-    return out
 
 
 def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
@@ -83,4 +63,4 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
 
 #: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="fig_predictors", render_fn=_render, points_fn=_points)
+DRIVER = Driver(name="fig_predictors", render_fn=_render)

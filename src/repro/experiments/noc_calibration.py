@@ -87,4 +87,4 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
 
 #: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="ablate-noc-model", render_fn=_render)
+DRIVER = Driver(name="ablate-noc-model", render_fn=_render, swept=False)

@@ -13,7 +13,8 @@ Usage::
     python -m repro.experiments fig13 --inject "crash:mantissa_drop_bits=11"
 
 With ``--jobs N`` the runner first collects every sweep point the
-requested experiments declare (via their drivers' ``points()``), dedupes
+requested experiments declare (via their drivers' ``points()``, which
+runs each render once with every result a placeholder), dedupes
 them across experiments, and executes them on the
 :class:`~repro.experiments.sweep.SweepEngine` — precise baselines exactly
 once, then the technique points, all at point granularity.  The drivers
@@ -89,12 +90,11 @@ DRIVERS: Dict[str, Driver] = {
     "ablate-memory-faults": fault_ablation.DRIVER,
 }
 
-#: Experiments decomposable into sweep points. The rest (Table II and
-#: the NoC calibration) declare no points and run whole.
+#: Experiments decomposable into sweep points, which their drivers
+#: declare by dry-running their renders. The rest (Table II and the NoC
+#: calibration, ``swept=False``) declare no points and run whole.
 POINTS: Dict[str, Callable[..., List[SweepPoint]]] = {
-    name: driver.points
-    for name, driver in DRIVERS.items()
-    if driver.points_fn is not None
+    name: driver.points for name, driver in DRIVERS.items() if driver.swept
 }
 
 

@@ -12,12 +12,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.core.config import ApproximatorConfig
-from repro.experiments.common import (
-    Driver,
-    ExperimentResult,
-    run_technique,
-    technique_point,
-)
+from repro.experiments.common import Driver, ExperimentResult, run_technique
 from repro.sim.mode import Mode
 
 #: (knob, low-override, high-override) around the Table II baseline.
@@ -36,20 +31,6 @@ def _workloads(small: bool) -> List[str]:
     if small:
         return ["blackscholes", "canneal", "fluidanimate"]
     return ["blackscholes", "canneal", "fluidanimate", "x264"]
-
-
-def _points(small: bool = False, seed: int = 0):
-    """The sweep points :func:`_render` consumes (for the parallel engine)."""
-    out = []
-    configs = [ApproximatorConfig()]
-    for _, low, high in PERTURBATIONS:
-        for overrides in (low, high):
-            if overrides:
-                configs.append(ApproximatorConfig(**overrides))
-    for name in _workloads(small):
-        for config in configs:
-            out.append(technique_point(name, Mode.LVA, config, seed=seed, small=small))
-    return out
 
 
 def _mean_metrics(
@@ -97,4 +78,4 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
 
 #: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="ablate-sensitivity", render_fn=_render, points_fn=_points)
+DRIVER = Driver(name="ablate-sensitivity", render_fn=_render)

@@ -9,8 +9,9 @@ baseline, and separate processes share no cache.
 
 This engine flips the unit of parallelism from experiments to points:
 
-1. Drivers declare their points (``DRIVER.points(small, seed)``
-   alongside ``DRIVER.render``).
+1. Drivers declare their points: ``DRIVER.points(small, seed)`` runs
+   ``DRIVER.render`` once with every run function recording the point
+   it was asked for and answering a FAILED placeholder.
 2. The engine **dedupes** points across every requested experiment, and
    serves in this process every point whose result the disk cache (or,
    for a trace capture, the trace store) already holds. Only the rest
@@ -256,7 +257,10 @@ class SweepReport:
     #: a warm trace store — the acceptance signal that sweep workers
     #: shared bytes instead of re-running workloads.
     traces_captured: int = 0
-    #: Traces served from the memory-mapped trace store.
+    #: Trace captures the restore pass served from the memory-mapped
+    #: trace store. Workers' own store reads are not counted, so with the
+    #: store active ``traces_captured + trace_store_hits`` is the number
+    #: of distinct captures, however the replays were scheduled.
     trace_store_hits: int = 0
     #: Results read from the disk cache, by this process or a worker.
     disk_hits: int = 0
@@ -879,12 +883,16 @@ class SweepEngine:
     # -- counters ---------------------------------------------------------- #
 
     def _absorb_counters(self, counters: Counter) -> None:
+        """Add one task's counter deltas to the report.
+
+        A worker's ``trace_store_hits`` are left out: how often workers
+        re-read a trace depends on which worker replays which point.
+        """
         report = self.report
         report.precise_computed += counters["precise_computed"]
         report.technique_computed += counters["technique_computed"]
         report.fullsystem_computed += counters["fullsystem_computed"]
         report.traces_captured += counters["traces_captured"]
-        report.trace_store_hits += counters["trace_store_hits"]
         report.disk_hits += sum(
             counters[kind + "_disk_hits"] for kind in common.RESULT_TYPES
         )

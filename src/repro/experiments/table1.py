@@ -14,7 +14,6 @@ from repro.experiments.common import (
     ExperimentResult,
     run_precise_reference,
     run_technique,
-    technique_point,
 )
 from repro.sim.mode import Mode
 
@@ -39,18 +38,6 @@ PAPER_VARIATION = {
 }
 
 
-def _points(small: bool = False, seed: int = 0):
-    """The sweep points :func:`_render` consumes (for the parallel engine).
-
-    The precise references :func:`_render` also reads are the baselines of
-    these technique points, so the engine schedules them implicitly.
-    """
-    return [
-        technique_point(name, Mode.LVA, seed=seed, small=small)
-        for name in BASELINE_WORKLOADS
-    ]
-
-
 def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
     """Measure precise MPKI and LVA instruction-count variation."""
     result = ExperimentResult(
@@ -69,4 +56,4 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
 
 #: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="table1", render_fn=_render, points_fn=_points)
+DRIVER = Driver(name="table1", render_fn=_render)

@@ -53,4 +53,4 @@ def _render(small: bool = False, seed: int = 0) -> ExperimentResult:
 
 #: The :class:`~repro.experiments.common.Driver` for this
 #: experiment — the supported entry point for programmatic use.
-DRIVER = Driver(name="table2", render_fn=_render)
+DRIVER = Driver(name="table2", render_fn=_render, swept=False)

@@ -9,7 +9,6 @@ from repro.core.config import ApproximatorConfig
 from repro.cpu.core import CoreConfig
 from repro.errors import ConfigurationError
 from repro.mem.cache import CacheConfig
-from repro.mem.dram import DRAMConfig
 from repro.noc.network import NocConfig
 
 
@@ -45,10 +44,6 @@ class FullSystemConfig:
         )
     )
     memory_latency: int = 160
-    #: "fixed" charges :attr:`memory_latency` per access (Table II);
-    #: "dram" uses the banked row-buffer model of :mod:`repro.mem.dram`.
-    memory_model: str = "fixed"
-    dram: DRAMConfig = field(default_factory=DRAMConfig)
     noc: NocConfig = field(default_factory=NocConfig)
     approximate: bool = False
     approximator: Optional[ApproximatorConfig] = None
@@ -63,10 +58,6 @@ class FullSystemConfig:
             raise ConfigurationError("L1 and L2 must share a block size")
         if self.memory_latency < 0:
             raise ConfigurationError("memory latency must be >= 0")
-        if self.memory_model not in ("fixed", "dram"):
-            raise ConfigurationError(
-                f"memory_model must be 'fixed' or 'dram', got {self.memory_model!r}"
-            )
 
     def resolved_approximator(self) -> ApproximatorConfig:
         """The approximator configuration, defaulting to the baseline."""

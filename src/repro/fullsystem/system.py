@@ -29,7 +29,6 @@ from repro.energy.model import EnergyModel
 from repro.errors import SimulationError
 from repro.mem.cache import SetAssociativeCache
 from repro.mem.coherence import CoherenceAction, MSIDirectory
-from repro.mem.dram import DRAMModel
 from repro.noc.network import MeshNetwork
 from repro.fullsystem.config import FullSystemConfig
 from repro.fullsystem.result import FullSystemResult
@@ -85,7 +84,6 @@ class FullSystemSimulator:
             SetAssociativeCache(cfg.l1, name=f"L1-{i}") for i in range(cfg.num_cores)
         ]
         self.l2 = SetAssociativeCache(cfg.l2, name="L2")
-        self.dram = DRAMModel(cfg.dram) if cfg.memory_model == "dram" else None
         self.noc = MeshNetwork(cfg.noc)
         self.directory = MSIDirectory(cfg.num_cores)
         self.energy_model = EnergyModel(
@@ -179,10 +177,7 @@ class FullSystemSimulator:
         service_done = request.arrival + self.config.l2.latency
         if not self.l2.probe(addr):
             self._memory_accesses += 1
-            if self.dram is not None:
-                service_done += self.dram.access(addr, service_done)
-            else:
-                service_done += self.config.memory_latency
+            service_done += self.config.memory_latency
             self.l2.fill(addr)
         reply = self.noc.send(
             bank, core_id, int(service_done), self._data_flits, low_priority=training

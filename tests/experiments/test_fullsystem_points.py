@@ -113,6 +113,23 @@ class TestEngineIntegration:
         assert warm.total_miss_latency == cold.total_miss_latency
         assert warm.energy == cold.energy
 
+    def test_pooled_store_hits_count_only_served_captures(self, disk_cache):
+        """Workers' own store reads depend on which worker replays which
+        point, so the report leaves them out: a cold pooled sweep reads 0
+        store hits whatever the scheduling, and its warm rerun 7."""
+        from repro.experiments import fig10
+
+        points = fig10.DRIVER.points(small=True)
+        cold = SweepEngine(jobs=2).execute(points)
+        assert not cold.failures
+        assert (cold.traces_captured, cold.trace_store_hits) == (7, 0)
+
+        common._RESULTS.clear()
+        common._TRACE_CACHE.clear()
+        warm = SweepEngine(jobs=2).execute(points)
+        assert (warm.traces_captured, warm.trace_store_hits) == (0, 7)
+        assert warm.disk_hits == 42
+
     def test_no_store_still_computes(self):
         # Caching disabled entirely (conftest sets REPRO_NO_CACHE): no
         # capture tasks are scheduled, workers capture privately.

@@ -303,8 +303,8 @@ class TestRestorePass:
         """Two points can share a disk key. The record the pass writes for
         the first must not make the second count as resumed."""
         points = [
-            technique_point("canneal", Mode.LVA, None, small=True),
-            technique_point("canneal", Mode.LVA, ApproximatorConfig(), small=True),
+            technique_point("canneal", Mode.LVA, small=True, faults="flip:prob=0.001"),
+            technique_point("canneal", Mode.LVA, small=True, faults="flip:prob=1e-3"),
         ]
         assert point_disk_key(points[0]) == point_disk_key(points[1])
         SweepEngine(jobs=1).execute(points)
