@@ -1,10 +1,11 @@
 """Static invariant checking for the LVA reproduction (``lva-lint``).
 
 The evaluation pipeline rests on invariants that ordinary linters do not
-know about: simulated results must be bit-deterministic (``--resume``
-promises bit-identical tables), every configuration knob must be folded
-into the disk-cache keys, hot-path classes must stay allocation-lean, and
-worker-executed code must stay picklable and free of hidden module state.
+know about: simulated results must be bit-deterministic (rerunning an
+interrupted sweep promises bit-identical tables), every configuration
+knob must be folded into the disk-cache keys, hot-path classes must stay
+allocation-lean, and worker-executed code must stay picklable and free
+of hidden module state.
 This package enforces them *statically*, before a single sweep point runs:
 
 ========  ============================================================

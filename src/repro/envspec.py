@@ -160,12 +160,6 @@ TELEMETRY_SAMPLE_ENV = _declare(
     "per-decision trace sampling rate (default 1024; 1 = every call)",
     pinned_by="tests/telemetry/test_disabled_overhead.py",
 )
-TELEMETRY_HOT_ENV = _declare(
-    "REPRO_TELEMETRY_HOT",
-    "capture-only",
-    "opt per-load (hot-path) profiler spans in; read once at import",
-    pinned_by="tests/telemetry/test_disabled_overhead.py",
-)
 
 
 # --------------------------------------------------------------------- #

@@ -519,7 +519,7 @@ def _point_fault_spec(point: SweepPoint) -> str:
 
 
 def point_disk_key(point: SweepPoint) -> str:
-    """The disk-cache (and journal) key of one sweep point."""
+    """The disk-cache key of one sweep point."""
     if point.fullsystem:
         return fullsystem_disk_key(
             point.workload,

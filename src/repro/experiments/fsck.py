@@ -4,22 +4,21 @@ The runtime already verifies on read (a corrupt entry heals as a miss),
 but a long-lived shared cache accumulates debris the hot path never
 revisits: entries bit-rotted after their last read, tmp files and
 tmpdirs orphaned by killed publishers, schema generations left behind by
-version bumps, journals with damaged middles. ``lva-fsck`` walks the
-whole store — result cache, trace store, journals — and reports a
-verdict per entry:
+version bumps. ``lva-fsck`` walks the whole store — result cache and
+trace store — and reports a verdict per entry:
 
 =================  ====================================================
 ``ok``             frame/checksums verify, schema current
 ``corrupt``        bytes present but damaged (bad magic length, CRC
-                   mismatch, unreadable meta, mid-journal garbage)
+                   mismatch, unreadable meta)
 ``orphaned-tmp``   a ``*.tmp`` file or tmpdir left by a killed publish
 ``schema-mismatch``  a valid entry from an older schema generation
 =================  ====================================================
 
 ``--repair`` moves corrupt/orphaned/stale entries into
-``<cache-dir>/quarantine/<subsystem>/`` (journals are rewritten keeping
-their valid lines); ``--delete`` removes them instead. Exit status is 0
-when the store is clean (or fully repaired), 1 when problems remain.
+``<cache-dir>/quarantine/<subsystem>/``; ``--delete`` removes them
+instead. Exit status is 0 when the store is clean (or fully repaired),
+1 when problems remain.
 
 Usage::
 
@@ -40,7 +39,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.experiments import diskcache, integrity, journal, tracestore
+from repro.experiments import diskcache, integrity, tracestore
 from repro.sim.trace import TRACE_COLUMNS
 
 #: Verdicts that --repair / --delete act on.
@@ -51,12 +50,12 @@ ACTIONABLE = ("corrupt", "orphaned-tmp", "schema-mismatch")
 class Finding:
     """One scanned artifact and what the scan concluded about it."""
 
-    subsystem: str  # cache | trace | journal
+    subsystem: str  # cache | trace
     path: Path
     verdict: str  # ok | corrupt | orphaned-tmp | schema-mismatch
     detail: str = ""
     #: Set by repair: where the artifact went ("quarantined:<path>",
-    #: "deleted", "rewritten", or "repair-failed").
+    #: "deleted", or "repair-failed").
     action: str = ""
 
     def as_dict(self) -> Dict[str, str]:
@@ -101,6 +100,8 @@ def scan_cache(root: Path) -> List[Finding]:
     if not root.exists():
         return findings
     for shard in sorted(root.iterdir()):
+        # ``journals/`` holds the run journals that older versions wrote
+        # beside the cache; nothing reads them now.
         if not shard.is_dir() or shard.name in (
             integrity.QUARANTINE_DIR,
             "traces",
@@ -206,66 +207,12 @@ def _scan_trace_entry(entry: Path) -> Finding:
     return Finding("trace", entry, "ok")
 
 
-def scan_journals(root: Path) -> List[Finding]:
-    """Verdict per journal file under ``root`` (the cache dir)."""
-    findings: List[Finding] = []
-    store = root / "journals"
-    if not store.exists():
-        return findings
-    for path in sorted(store.iterdir()):
-        if not path.is_file():
-            continue
-        if _is_tmp(path):
-            findings.append(Finding("journal", path, "orphaned-tmp"))
-            continue
-        try:
-            text = path.read_text(encoding="utf-8", errors="replace")
-        except OSError as exc:
-            findings.append(Finding("journal", path, "corrupt", f"unreadable: {exc}"))
-            continue
-        lines = text.splitlines()
-        valid = 0
-        bad = 0
-        torn_tail = False
-        for index, line in enumerate(lines):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            final = index == len(lines) - 1 and not text.endswith("\n")
-            try:
-                record = json.loads(stripped)
-            except ValueError:
-                if final:
-                    torn_tail = True  # expected hard-kill debris
-                else:
-                    bad += 1
-                continue
-            if isinstance(record, dict) and integrity.verify_record(record):
-                valid += 1
-            else:
-                bad += 1
-        if bad:
-            findings.append(
-                Finding(
-                    "journal",
-                    path,
-                    "corrupt",
-                    f"{bad} damaged line(s), {valid} valid (recoverable by --repair)",
-                )
-            )
-        else:
-            detail = "torn trailing line (tolerated)" if torn_tail else ""
-            findings.append(Finding("journal", path, "ok", detail))
-    return findings
-
-
 def scan(root: Optional[Path] = None) -> ScanReport:
-    """Scan all three subsystems; ``root`` defaults to the cache dir."""
+    """Scan the cache and the trace store; ``root`` defaults to the cache dir."""
     root = root or diskcache.default_cache_dir()
     report = ScanReport()
     report.findings.extend(scan_cache(root))
     report.findings.extend(scan_traces(root))
-    report.findings.extend(scan_journals(root))
     return report
 
 
@@ -274,49 +221,15 @@ def scan(root: Optional[Path] = None) -> ScanReport:
 # --------------------------------------------------------------------- #
 
 
-def _rewrite_journal(path: Path) -> bool:
-    """Drop damaged lines from a journal, keeping valid records, atomically."""
-    try:
-        text = path.read_text(encoding="utf-8", errors="replace")
-    except OSError:
-        return False
-    kept: List[str] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            record = json.loads(stripped)
-        except ValueError:
-            continue
-        if isinstance(record, dict) and integrity.verify_record(record):
-            kept.append(stripped)
-    tmp = path.with_name(path.name + ".fsck.tmp")
-    try:
-        tmp.write_text("".join(line + "\n" for line in kept), encoding="utf-8")
-        tmp.replace(path)
-    except OSError:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-        return False
-    return True
-
-
 def repair(report: ScanReport, root: Optional[Path] = None, delete: bool = False) -> None:
     """Act on every actionable finding; records the action taken in-place.
 
-    Corrupt journals are rewritten (valid lines survive — resume keeps
-    working); everything else is quarantined under
-    ``<root>/quarantine/<subsystem>/``, or deleted with ``delete=True``.
+    Each is quarantined under ``<root>/quarantine/<subsystem>/``, or
+    deleted with ``delete=True``.
     """
     root = root or diskcache.default_cache_dir()
     for finding in report.problems:
         path = finding.path
-        if finding.subsystem == "journal" and finding.verdict == "corrupt":
-            finding.action = "rewritten" if _rewrite_journal(path) else "repair-failed"
-            continue
         if delete:
             try:
                 if path.is_dir():
@@ -341,8 +254,8 @@ def repair(report: ScanReport, root: Optional[Path] = None, delete: bool = False
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="lva-fsck",
-        description="Scan (and optionally repair) the LVA result cache, "
-        "trace store and run journals.",
+        description="Scan (and optionally repair) the LVA result cache "
+        "and trace store.",
     )
     parser.add_argument(
         "--cache-dir",
@@ -353,7 +266,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--repair",
         action="store_true",
-        help="quarantine damaged entries (rewrite corrupt journals in place)",
+        help="quarantine damaged entries",
     )
     parser.add_argument(
         "--delete",
@@ -375,7 +288,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     unresolved = [
         f
         for f in problems
-        if not (f.action.startswith("quarantined") or f.action in ("deleted", "rewritten"))
+        if not (f.action.startswith("quarantined") or f.action == "deleted")
     ]
     if args.json:
         print(

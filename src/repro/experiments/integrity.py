@@ -1,6 +1,6 @@
 """Content-integrity primitives shared by the storage layer.
 
-DiskCache entries, TraceStore columns and journal records all carry
+DiskCache entries and TraceStore columns and metadata all carry
 checksums so that silent on-disk damage — bit rot, a lost fsync, a
 crash-truncated file — is *detected* on read instead of replayed into
 results. The policy everywhere is the same: a failed check degrades to a
@@ -14,14 +14,14 @@ Three things live here:
   a CRC32 and the payload length prefix the pickle bytes, so torn,
   zero-filled and bit-flipped blobs all fail closed
   (:func:`frame`/:func:`unframe`);
-* **record checksums** for JSON artifacts (journal lines, trace meta):
+* **record checksums** for JSON artifacts (trace meta):
   CRC32 over the canonical ``sort_keys`` serialisation minus the
   ``crc`` field itself (:func:`seal_record`/:func:`verify_record`);
 * **corruption reporting** (:func:`report_corruption`) and the
   generation stamp for atomic publishes (:func:`next_generation`).
 
 This module deliberately imports nothing from the storage modules so it
-can sit below all three.
+can sit below both.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def unframe(blob: bytes) -> bytes:
 
 
 # --------------------------------------------------------------------- #
-# Record checksums (journal lines, trace meta)                          #
+# Record checksums (trace meta)                                         #
 # --------------------------------------------------------------------- #
 
 
@@ -147,7 +147,7 @@ _WARNED: Set[str] = set()
 def report_corruption(subsystem: str, path: PathLike, reason: str) -> None:
     """Count + warn-once that a storage artifact failed verification.
 
-    ``subsystem`` is ``cache``/``trace``/``journal``; the counter is
+    ``subsystem`` is ``cache`` or ``trace``; the counter is
     ``storage.corrupt.<subsystem>`` and the stderr warning fires once
     per subsystem per process (individual paths go to the trace stream,
     which is cheap and append-only).

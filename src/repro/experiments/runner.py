@@ -9,7 +9,6 @@ Usage::
     python -m repro.experiments --jobs 4        # point-level parallel sweep
     python -m repro.experiments fig6 --json out.json --markdown out.md
     python -m repro.experiments --jobs 4 --retries 2 --point-timeout 300
-    python -m repro.experiments --jobs 4 --resume   # continue an interrupted run
     python -m repro.experiments fig13 --inject "crash:mantissa_drop_bits=11"
 
 With ``--jobs N`` the runner first collects every sweep point the
@@ -26,7 +25,8 @@ fans the replays out; workers memory-map the stored columns.  The few
 experiments that cannot be decomposed into points still run whole in
 worker processes, unless their finished tables are already on disk.
 Whatever is already cached is served in the parent, so a fully cached
-run starts no worker process.
+run starts no worker process, and rerunning an interrupted command
+recomputes only what it had not stored yet.
 """
 
 from __future__ import annotations
@@ -142,11 +142,12 @@ def _run_one(
 ):
     """Worker entry point: run one experiment (possibly seed-averaged).
 
-    Unswept experiments (the trace/full-system replays) are cached whole
-    on disk: their cost lives outside the point-level caches, but they
-    are just as deterministic, so their finished tables can be served
-    from the same disk layer. Profiled runs bypass the cache — a profile
-    of a disk read is not what ``--profile`` asks for.
+    Unswept experiments (Table II and the NoC calibration, which declare
+    no points) are cached whole on disk: their cost lives outside the
+    point-level caches, but they are just as deterministic, so their
+    finished tables can be served from the same disk layer. Profiled
+    runs bypass the cache — a profile of a disk read is not what
+    ``--profile`` asks for.
 
     ``profiler`` (parent-process, in-serial runs only — it is not
     picklable) records a component frame per experiment for the
@@ -305,11 +306,6 @@ def main(argv=None) -> int:
         help="abandon any single sweep point attempt after SECONDS",
     )
     parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume an interrupted sweep from its run journal (skip completed points)",
-    )
-    parser.add_argument(
         "--inject",
         metavar="SPEC",
         default=None,
@@ -359,10 +355,7 @@ def main(argv=None) -> int:
     profiler = Profiler("lva-experiments") if args.profile_out else None
 
     engine_requested = (
-        args.jobs > 1
-        or args.resume
-        or args.retries > 0
-        or args.point_timeout is not None
+        args.jobs > 1 or args.retries > 0 or args.point_timeout is not None
     )
     if engine_requested:
         points = gather_points(names, args.small, args.seed, args.repeats)
@@ -371,7 +364,6 @@ def main(argv=None) -> int:
                 jobs=args.jobs,
                 retries=args.retries,
                 point_timeout=args.point_timeout,
-                resume=args.resume,
                 jitter_seed=args.seed,
             )
             try:
@@ -382,8 +374,8 @@ def main(argv=None) -> int:
                     report = engine.execute(points)
             except KeyboardInterrupt:
                 print(
-                    "\nsweep interrupted; completed points are journaled — "
-                    "rerun with --resume to continue",
+                    "\nsweep interrupted; rerun the same command to continue "
+                    "(it does not recompute the points already stored)",
                     file=sys.stderr,
                 )
                 return 130

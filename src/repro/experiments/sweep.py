@@ -34,22 +34,19 @@ results is bit-identical to one built by running the driver alone.
 is bounded by an optional per-point timeout, failed attempts are retried
 with exponential backoff and jitter (``retries``), a dead worker
 (``BrokenProcessPool``) rebuilds the pool and requeues the in-flight
-points, and after ``max_pool_rebuilds`` rebuilds the engine degrades to
+points, and after ``MAX_POOL_REBUILDS`` rebuilds the engine degrades to
 serial in-process execution — where even a deterministic crasher is
 reduced to a caught exception. A point that exhausts its retries yields
 a structured :class:`PointFailure` (and a FAILED table cell via the
 in-memory failure placeholders of :mod:`~repro.experiments.common`)
 instead of killing the run.
 
-**Checkpoint/resume.** A run journal
-(:class:`~repro.experiments.journal.RunJournal`, JSONL beside the disk
-cache) records each point's completion or permanent failure as it
-happens. An interrupted run — SIGINT/SIGTERM shut the pool down cleanly
-and flush the journal — converges on a rerun: completed points are
-served from the disk cache, and only the missing or previously failed
-ones are recomputed, giving a table bit-identical to an uninterrupted
-run. ``resume=True`` (CLI ``--resume``) keeps and appends to the old
-journal and counts the points it marks done as resumed.
+**Rerunning an interrupted sweep.** The disk cache and the trace store
+are the checkpoint: each result is published there as its point
+completes. SIGINT/SIGTERM shut the pool down cleanly, and running the
+same command again serves every stored point and recomputes only the
+rest (the points that were in flight, missing or failed), giving a
+table bit-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -59,6 +56,7 @@ import heapq
 import importlib
 import itertools
 import math
+import os
 import signal
 import sys
 import threading
@@ -78,7 +76,13 @@ from repro import faults, telemetry
 from repro.errors import PointTimeoutError
 from repro.experiments import common, diskcache, tracestore
 from repro.experiments.common import SweepPoint, point_disk_key
-from repro.experiments.journal import NullJournal, RunJournal
+
+#: Retry backoff before jitter: the first retry waits BACKOFF_BASE
+#: seconds, each later one twice as long, up to BACKOFF_CAP.
+BACKOFF_BASE = 0.5
+BACKOFF_CAP = 30.0
+#: Pool rebuilds after which the engine degrades to serial execution.
+MAX_POOL_REBUILDS = 3
 
 
 def capture_key(point: SweepPoint) -> str:
@@ -217,23 +221,6 @@ def _warn_unmatched_faults(tasks: Sequence[_Task]) -> None:
             )
 
 
-def _sigterm_to_interrupt(signum, frame):
-    raise KeyboardInterrupt("SIGTERM")
-
-
-def _pool_worker_init() -> None:
-    """Reset SIGTERM in pool workers.
-
-    Forked workers inherit the parent's SIGTERM→KeyboardInterrupt
-    handler; a pool-rebuild ``terminate()`` would then raise inside the
-    worker and spray tracebacks instead of just dying.
-    """
-    try:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    except (ValueError, OSError):
-        pass
-
-
 # --------------------------------------------------------------------- #
 # The engine                                                            #
 # --------------------------------------------------------------------- #
@@ -265,8 +252,6 @@ class SweepReport:
     #: Results read from the disk cache, by this process or a worker.
     disk_hits: int = 0
     elapsed: float = 0.0
-    #: Served points that the journal ``resume`` kept already marks done.
-    resumed_points: int = 0
     #: Attempts rescheduled after a failure (each backs off with jitter).
     retried_attempts: int = 0
     #: Times the worker pool was torn down and rebuilt.
@@ -292,8 +277,6 @@ class SweepReport:
                 f"({self.trace_store_hits} store hits)"
             )
         extras = []
-        if self.resumed_points:
-            extras.append(f"{self.resumed_points} resumed")
         if self.retried_attempts:
             extras.append(f"{self.retried_attempts} retried")
         if self.timeouts:
@@ -313,8 +296,8 @@ class SweepEngine:
     One engine instance is built per CLI invocation; :meth:`execute`
     leaves the result memo ``common._RESULTS`` warm in the calling
     process, so ``DRIVER.render()`` calls afterwards cost only table
-    assembly. ``retries``/``point_timeout``/``resume``
-    configure the supervision layer (see the module docstring).
+    assembly. ``retries``/``point_timeout`` configure the supervision
+    layer (see the module docstring).
     """
 
     def __init__(
@@ -322,19 +305,11 @@ class SweepEngine:
         jobs: int = 1,
         retries: int = 0,
         point_timeout: Optional[float] = None,
-        resume: bool = False,
-        backoff_base: float = 0.5,
-        backoff_cap: float = 30.0,
-        max_pool_rebuilds: int = 3,
         jitter_seed: int = 0,
     ) -> None:
         self.jobs = max(1, jobs)
         self.retries = max(0, retries)
         self.point_timeout = point_timeout if point_timeout and point_timeout > 0 else None
-        self.resume = resume
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.max_pool_rebuilds = max(0, max_pool_rebuilds)
         self.report = SweepReport()
         self.jitter_seed = jitter_seed
         self._seq = itertools.count()
@@ -393,45 +368,28 @@ class SweepEngine:
                 tracer.emit(
                     "sweep.point.queued", point=task.point.describe(), kind=task.kind
                 )
-        journal = self._open_journal(wave_one + wave_two)
         self._install_signal_handler()
         try:
-            wave_one = self._serve_cached(wave_one, journal)
-            wave_two = self._serve_cached(wave_two, journal)
-            self._run_wave(wave_one, journal)
-            self._run_wave(self._fail_orphaned(wave_two, journal), journal)
+            wave_one = self._serve_cached(wave_one)
+            wave_two = self._serve_cached(wave_two)
+            self._run_wave(wave_one)
+            self._run_wave(self._fail_orphaned(wave_two))
         finally:
             self._restore_signal_handler()
-            journal.close()
 
         report.elapsed += time.monotonic() - started
         self._emit_summary(report)
         return report
 
-    # -- journal and restore pass ---------------------------------------- #
+    # -- restore pass ---------------------------------------------------- #
 
-    def _open_journal(self, tasks: Sequence[_Task]):
-        """A journal beside the disk cache; a no-op one without a cache.
-
-        Without the content-addressed disk cache there is nowhere to
-        restore completed results from, so checkpointing is disabled
-        rather than half-working.
-        """
-        if diskcache.active_cache() is None:
-            return NullJournal()
-        return RunJournal.for_keys([t.key for t in tasks], resume=self.resume)
-
-    def _serve_cached(self, tasks: List[_Task], journal) -> List[_Task]:
+    def _serve_cached(self, tasks: List[_Task]) -> List[_Task]:
         """Serve every already-stored task in this process; keep the rest.
 
         A capture is served when the trace store holds a verified entry
         for it, any other task when the disk cache holds a result of its
         kind (a corrupt entry heals as a miss). A served task runs no
-        worker, so no injected point fault fires for it. It is journaled
-        as done, unless ``resume`` kept a journal that already says so:
-        then it counts as resumed. The journal is bookkeeping and the
-        caches are the source of results, so a done record whose entry
-        has vanished leaves its task to be dispatched like any other.
+        worker, so no injected point fault fires for it.
         """
         disk = diskcache.active_cache()
         if disk is None:
@@ -439,9 +397,6 @@ class SweepEngine:
         store = tracestore.active_store()
         tracer = telemetry.tracer()
         report = self.report
-        # A copy: two points can share a disk key, and the record this
-        # pass writes for the first must not make the second "resumed".
-        kept_done = set(journal.done) if self.resume else set()
         remaining: List[_Task] = []
         for task in tasks:
             if task.kind == "capture":
@@ -449,6 +404,7 @@ class SweepEngine:
                     remaining.append(task)
                     continue
                 source = "store"
+                report.trace_store_hits += 1
             else:
                 stored = disk.get(task.key)
                 if not isinstance(stored, common.RESULT_TYPES[task.kind]):
@@ -456,15 +412,7 @@ class SweepEngine:
                     continue
                 _backfill(task.point, stored)
                 source = "disk"
-            if task.key in kept_done:
-                report.resumed_points += 1
-                source = "resumed"
-            else:
-                journal.record_done(task.kind, task.key)
-                if source == "store":
-                    report.trace_store_hits += 1
-                else:
-                    report.disk_hits += 1
+                report.disk_hits += 1
             if tracer is not None:
                 tracer.emit(
                     "sweep.point.cached",
@@ -476,15 +424,15 @@ class SweepEngine:
 
     # -- wave orchestration ---------------------------------------------- #
 
-    def _run_wave(self, tasks: Sequence[_Task], journal) -> None:
+    def _run_wave(self, tasks: Sequence[_Task]) -> None:
         if not tasks:
             return
         if self.jobs == 1 or self._serial_fallback:
-            self._run_serial(tasks, journal)
+            self._run_serial(tasks)
         else:
-            self._run_supervised(list(tasks), journal)
+            self._run_supervised(list(tasks))
 
-    def _fail_orphaned(self, tasks: List[_Task], journal) -> List[_Task]:
+    def _fail_orphaned(self, tasks: List[_Task]) -> List[_Task]:
         """Pre-fail wave-2 points whose dependency permanently failed.
 
         A technique point depends on its precise baseline; a full-system
@@ -515,14 +463,14 @@ class SweepEngine:
                     message=message,
                     attempts=0,
                 )
-                self._register_failure(task, failure, journal)
+                self._register_failure(task, failure)
             else:
                 remaining.append(task)
         return remaining
 
     # -- serial execution ------------------------------------------------- #
 
-    def _run_serial(self, tasks: Sequence[_Task], journal) -> None:
+    def _run_serial(self, tasks: Sequence[_Task]) -> None:
         """In-process execution with the same retry/failure envelope.
 
         Also the degradation target after repeated pool failures: an
@@ -544,15 +492,15 @@ class SweepEngine:
                         self.report.retried_attempts += 1
                         time.sleep(self._backoff_delay(task.attempts, task.key))
                         continue
-                    self._record_failure(task, exc, journal)
+                    self._record_failure(task, exc)
                     break
                 else:
-                    self._record_success(task, result, counters, journal)
+                    self._record_success(task, result, counters)
                     break
 
     # -- supervised pool execution ---------------------------------------- #
 
-    def _run_supervised(self, tasks: List[_Task], journal) -> None:
+    def _run_supervised(self, tasks: List[_Task]) -> None:
         """The fault-tolerant parallel loop.
 
         Without a per-point timeout, two points per worker are in flight:
@@ -586,7 +534,7 @@ class SweepEngine:
                         pending.appendleft(task)
                         pool = self._recover_pool(pool, inflight, pending)
                         if pool is None:
-                            self._drain_serial(pending, retry_heap, journal)
+                            self._drain_serial(pending, retry_heap)
                             clean_exit = True
                             return
                         continue
@@ -625,24 +573,22 @@ class SweepEngine:
                     except (KeyboardInterrupt, SystemExit):
                         raise
                     except Exception as exc:
-                        self._attempt_failed(task, exc, retry_heap, journal)
+                        self._attempt_failed(task, exc, retry_heap)
                     else:
-                        self._record_success(task, result, counters, journal)
+                        self._record_success(task, result, counters)
 
                 if pool_broke:
                     pool = self._recover_pool(pool, inflight, pending)
                     if pool is None:
-                        self._drain_serial(pending, retry_heap, journal)
+                        self._drain_serial(pending, retry_heap)
                         clean_exit = True
                         return
                     continue
 
                 if self.point_timeout:
-                    pool = self._reap_timeouts(
-                        pool, inflight, pending, retry_heap, journal
-                    )
+                    pool = self._reap_timeouts(pool, inflight, pending, retry_heap)
                     if pool is None:
-                        self._drain_serial(pending, retry_heap, journal)
+                        self._drain_serial(pending, retry_heap)
                         clean_exit = True
                         return
             clean_exit = True
@@ -664,9 +610,7 @@ class SweepEngine:
             return None
         return max(0.01, min(candidates))
 
-    def _reap_timeouts(
-        self, pool, inflight: Dict, pending: deque, retry_heap: List, journal
-    ):
+    def _reap_timeouts(self, pool, inflight: Dict, pending: deque, retry_heap: List):
         """Abandon overdue attempts; the hung worker forces a pool rebuild.
 
         A hung worker cannot be cancelled through the executor API, so
@@ -685,7 +629,7 @@ class SweepEngine:
                     f"{task.point.describe()} exceeded --point-timeout "
                     f"({self.point_timeout:g}s)"
                 )
-                self._attempt_failed(task, exc, retry_heap, journal)
+                self._attempt_failed(task, exc, retry_heap)
             else:
                 pending.appendleft(task)
         inflight.clear()
@@ -704,26 +648,24 @@ class SweepEngine:
             tracer.emit("sweep.pool.rebuild", count=self.report.pool_rebuilds + 1)
         self.report.pool_rebuilds += 1
         self._shutdown_pool(pool, kill=True)
-        if self.report.pool_rebuilds > self.max_pool_rebuilds:
+        if self.report.pool_rebuilds > MAX_POOL_REBUILDS:
             self._serial_fallback = True
             return None
         return self._new_pool()
 
-    def _drain_serial(self, pending: deque, retry_heap: List, journal) -> None:
+    def _drain_serial(self, pending: deque, retry_heap: List) -> None:
         """Finish the wave in-process after giving up on pools."""
         remaining = list(pending) + [task for _, _, task in retry_heap]
         pending.clear()
         retry_heap.clear()
-        self._run_serial(remaining, journal)
+        self._run_serial(remaining)
 
     def _new_pool(self) -> ProcessPoolExecutor:
         # Forked workers inherit the simulators instead of each importing
         # them (and numpy) on its first point.
         for name in ("repro.sim.tracesim", "repro.workloads.registry", "repro.fullsystem.system"):
             importlib.import_module(name)
-        return ProcessPoolExecutor(
-            max_workers=self.jobs, initializer=_pool_worker_init
-        )
+        return ProcessPoolExecutor(max_workers=self.jobs)
 
     @staticmethod
     def _shutdown_pool(pool, kill: bool) -> None:
@@ -751,14 +693,14 @@ class SweepEngine:
         completion order of every other point — reproducible under
         ``--inject flaky`` even with a racing pool.
         """
-        delay = min(self.backoff_cap, self.backoff_base * (2 ** (attempt - 1)))
+        delay = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (attempt - 1)))
         digest = hashlib.sha256(
             f"{self.jitter_seed};{key};{attempt}".encode("utf-8")
         ).digest()
         fraction = int.from_bytes(digest[:8], "big") / 2.0**64
         return delay * (0.5 + fraction)
 
-    def _attempt_failed(self, task: _Task, exc: Exception, retry_heap, journal) -> None:
+    def _attempt_failed(self, task: _Task, exc: Exception, retry_heap) -> None:
         task.attempts += 1
         if task.attempts <= self.retries:
             self.report.retried_attempts += 1
@@ -774,15 +716,14 @@ class SweepEngine:
             eligible = time.monotonic() + self._backoff_delay(task.attempts, task.key)
             heapq.heappush(retry_heap, (eligible, next(self._seq), task))
         else:
-            self._record_failure(task, exc, journal)
+            self._record_failure(task, exc)
 
-    def _record_success(self, task: _Task, result, counters, journal) -> None:
+    def _record_success(self, task: _Task, result, counters) -> None:
         # A capture has no result to backfill: its trace-store entry *is*
         # the artifact, and the parent takes only its counters.
         if task.kind in common.RESULT_TYPES:
             _backfill(task.point, result)
         self._absorb_counters(counters)
-        journal.record_done(task.kind, task.key)
         if telemetry.enabled():
             wall = time.monotonic() - task.started if task.started else 0.0
             telemetry.metrics().histogram("sweep.point.wall_s").observe(wall)
@@ -795,7 +736,7 @@ class SweepEngine:
                     wall_s=round(wall, 6),
                 )
 
-    def _record_failure(self, task: _Task, exc: Exception, journal) -> None:
+    def _record_failure(self, task: _Task, exc: Exception) -> None:
         failure = PointFailure(
             point=task.point,
             kind=task.kind,
@@ -803,9 +744,9 @@ class SweepEngine:
             message=str(exc) or type(exc).__name__,
             attempts=max(1, task.attempts),
         )
-        self._register_failure(task, failure, journal)
+        self._register_failure(task, failure)
 
-    def _register_failure(self, task: _Task, failure: PointFailure, journal) -> None:
+    def _register_failure(self, task: _Task, failure: PointFailure) -> None:
         tracer = telemetry.tracer()
         if tracer is not None:
             tracer.emit(
@@ -824,9 +765,6 @@ class SweepEngine:
             # Wave-2 dependents are pre-failed by _fail_orphaned; their
             # FAILED placeholders carry the render-path NaNs.
             self._failed_baseline_keys.add(task.key)
-        journal.record_failed(
-            task.kind, task.key, failure.error_type, failure.message, failure.attempts
-        )
 
     def _emit_summary(self, report: SweepReport) -> None:
         """Publish the run report to the trace and metrics registry."""
@@ -864,13 +802,28 @@ class SweepEngine:
     # -- signals ---------------------------------------------------------- #
 
     def _install_signal_handler(self) -> None:
-        """Fold SIGTERM into the KeyboardInterrupt shutdown path."""
+        """Fold SIGTERM into the KeyboardInterrupt shutdown path.
+
+        Only in this process: a forked pool worker inherits the handler,
+        and there it restores the default action and sends SIGTERM to
+        itself again, so a terminated worker dies quietly.
+        """
         self._old_sigterm = None
-        if threading.current_thread() is threading.main_thread():
-            try:
-                self._old_sigterm = signal.signal(signal.SIGTERM, _sigterm_to_interrupt)
-            except (ValueError, OSError):
-                self._old_sigterm = None
+        if threading.current_thread() is not threading.main_thread():
+            return
+        owner = os.getpid()
+
+        def sigterm_to_interrupt(signum, frame):
+            if os.getpid() != owner:
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                os.kill(os.getpid(), signal.SIGTERM)
+                return
+            raise KeyboardInterrupt("SIGTERM")
+
+        try:
+            self._old_sigterm = signal.signal(signal.SIGTERM, sigterm_to_interrupt)
+        except (ValueError, OSError):
+            self._old_sigterm = None
 
     def _restore_signal_handler(self) -> None:
         if self._old_sigterm is not None:

@@ -13,7 +13,7 @@ Three fault families share one spec grammar (see :mod:`repro.faults.spec`):
 * **storage faults** (``torn``/``fsync``/``corrupt``/``trunc``/
   ``enospc``/``eio``/``rename``/``kill``) perturb the persistence layer
   (:mod:`repro.faults.fsfaults`) to exercise the crash-consistency
-  machinery of the disk cache, trace store and run journal.
+  machinery of the disk cache and the trace store.
 
 Activate globally with ``--inject SPEC`` (environment-carried, so worker
 processes inherit it) or per sweep point via ``SweepPoint.faults``.

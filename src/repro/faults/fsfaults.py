@@ -1,9 +1,9 @@
 """Deterministic filesystem fault injection for the storage layer.
 
 The persistence tier — the pickled result :mod:`~repro.experiments.
-diskcache`, the ``.npy`` column :mod:`~repro.experiments.tracestore` and
-the JSONL run :mod:`~repro.experiments.journal` — promises that a sweep
-either completes **bit-identical** to a fault-free run or fails loudly.
+diskcache` and the ``.npy`` column :mod:`~repro.experiments.tracestore`
+— promises that a sweep either completes **bit-identical** to a
+fault-free run or fails loudly.
 This module is how that promise is adversarially exercised: the storage
 modules route their I/O through four narrow hooks (:func:`on_write`,
 :func:`on_rename`, :func:`on_read`, :func:`damage_published`) plus named
@@ -33,7 +33,7 @@ Fault kinds (``STORAGE_KINDS``):
 =========  ==============================================================
 
 Selectors shared by every kind: ``target=`` (``cache``/``trace``/
-``journal``/``any``; default ``any``), ``op=`` and ``site=`` (substring
+``any``; default ``any``), ``op=`` and ``site=`` (substring
 of the dotted operation-site name, e.g. ``op=write`` or
 ``site=trace.publish.pre_meta``), ``path=`` (substring of the file
 path), and a deterministic occurrence window ``at=`` (1-based index of
@@ -76,8 +76,6 @@ CRASH_POINTS: Tuple[str, ...] = (
     "trace.publish.pre_meta",
     "trace.publish.pre_rename",
     "trace.publish.post_rename",
-    "journal.append.pre_write",
-    "journal.append.post_write",
 )
 
 # --------------------------------------------------------------------- #

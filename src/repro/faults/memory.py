@@ -4,7 +4,7 @@ The model perturbs values *as they arrive from the memory hierarchy* —
 the silent-data-corruption regime of approximate-memory studies. Both
 fault channels are driven by one seeded :class:`random.Random` stream,
 so a given (spec, point) pair produces the identical fault pattern on
-every run, across resume, and regardless of worker scheduling.
+every run, across reruns, and regardless of worker scheduling.
 
 Activation is layered:
 

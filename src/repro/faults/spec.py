@@ -17,8 +17,7 @@ parameters. Two families exist:
   layer — torn writes, failed renames, ENOSPC/EIO, lost fsyncs,
   truncated mmaps, byte corruption, and hard kills at publish crash
   points — exercising the crash-consistency machinery of the disk
-  cache, trace store and run journal (see
-  :mod:`repro.faults.fsfaults`). Storage faults never change *what* a
+  cache and the trace store (see :mod:`repro.faults.fsfaults`). Storage faults never change *what* a
   run computes (a corrupted entry heals as a miss and is recomputed),
   so, unlike memory faults, they fold into **nothing**: they must never
   enter cache keys.
@@ -31,7 +30,7 @@ takes every task kind the sweep engine passes: ``precise``,
 ``technique``, ``capture`` (a phase-2 trace capture), ``fullsystem``
 (a phase-2 replay) or ``any``; it defaults to ``technique``.
 Storage clauses select I/O operations instead: ``target=``
-(``cache``/``trace``/``journal``/``any``), ``op=``/``site=`` (substring
+(``cache``/``trace``/``any``), ``op=``/``site=`` (substring
 of the operation site name), ``path=`` (substring of the file path),
 and a deterministic occurrence window ``at=``/``count=``.
 """
@@ -57,6 +56,9 @@ MEMORY_KINDS = frozenset({"flip", "drop"})
 STORAGE_KINDS = frozenset(
     {"torn", "fsync", "corrupt", "trunc", "enospc", "eio", "rename", "kill"}
 )
+
+#: The values a storage clause's ``target=`` takes: the store it selects.
+STORAGE_TARGETS = ("cache", "trace", "any")
 
 
 def _parse_value(text: str) -> object:
@@ -151,7 +153,11 @@ class FaultClause:
 
 
 def parse_spec(spec: str) -> Tuple[FaultClause, ...]:
-    """Parse a fault spec string into clauses; raises on unknown kinds."""
+    """Parse a fault spec string into clauses.
+
+    Raises on an unknown kind, and on a storage clause whose ``target=``
+    names no store (it would inject nothing).
+    """
     clauses: List[FaultClause] = []
     for chunk in spec.split(";"):
         chunk = chunk.strip()
@@ -173,6 +179,12 @@ def parse_spec(spec: str) -> Tuple[FaultClause, ...]:
                 raise ConfigurationError(f"malformed fault parameter {pair!r}")
             key, _, value = pair.partition("=")
             params[key.strip()] = _parse_value(value.strip())
+        target = params.get("target", "any")
+        if kind in STORAGE_KINDS and target not in STORAGE_TARGETS:
+            raise ConfigurationError(
+                f"storage fault target {target!r} names no store; "
+                f"known: {', '.join(STORAGE_TARGETS)}"
+            )
         clauses.append(FaultClause(kind=kind, params=tuple(sorted(params.items()))))
     return tuple(clauses)
 

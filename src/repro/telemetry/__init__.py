@@ -35,9 +35,7 @@ from typing import Dict, Optional, Union
 
 from repro import envspec
 from repro.telemetry.profiling import (
-    HOT,
     Profiler,
-    maybe_profiler,
     profile_to_text,
     validate_speedscope,
 )
@@ -186,7 +184,6 @@ __all__ = [
     "DEFAULT_INTERVAL",
     "DEFAULT_SAMPLE",
     "Gauge",
-    "HOT",
     "Histogram",
     "INTERVAL_ENV",
     "MetricsRegistry",
@@ -202,7 +199,6 @@ __all__ = [
     "enabled",
     "interval",
     "iter_spans",
-    "maybe_profiler",
     "metrics",
     "profile_to_text",
     "publish_stats",

@@ -14,9 +14,7 @@ carry inline.
 
 Timing hot paths costs two clock reads per frame, so profilers should
 wrap component-sized regions (a whole sweep point, a render), not
-per-load work. The :data:`HOT` flag — read once at import from
-``REPRO_TELEMETRY_HOT``, a compile-time-style switch — lets the test
-suite and brave users opt per-load spans in anyway.
+per-load work.
 """
 
 from __future__ import annotations
@@ -24,18 +22,12 @@ from __future__ import annotations
 import cProfile
 import io
 import json
-import os
 import pstats
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Tuple, Union
 
-from repro.envspec import TELEMETRY_HOT_ENV
 from repro.errors import ConfigurationError
-
-#: Compile-time-style switch for per-load ("hot") timing. Read once at
-#: import so the hot path tests a constant, not the environment.
-HOT: bool = os.environ.get(TELEMETRY_HOT_ENV, "") not in ("", "0")
 
 
 class Profiler:
@@ -203,8 +195,3 @@ def profile_to_text(
     stats = pstats.Stats(profiler, stream=buffer)
     stats.sort_stats(sort).print_stats(limit)
     return result, buffer.getvalue()
-
-
-def maybe_profiler(enabled: bool, name: str = "repro") -> Optional[Profiler]:
-    """A :class:`Profiler` when ``enabled``, else ``None`` (guard idiom)."""
-    return Profiler(name) if enabled else None

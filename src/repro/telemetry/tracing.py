@@ -1,7 +1,7 @@
 """Structured trace/event layer: append-only JSONL spans and events.
 
 A :class:`TraceWriter` appends one JSON object per line to a trace file
-that lives beside the run journal. Every record carries:
+(the ``--trace`` path). Every record carries:
 
 ``ev``
     Event name (dotted, e.g. ``sweep.point.done``, ``fault.engine``).
@@ -14,8 +14,7 @@ Span records (``"ev": "span"``) additionally carry ``name`` and
 ``dur_ns``. Each line is written with a **single** ``os.write`` on a
 file descriptor opened with ``O_APPEND``, which POSIX guarantees to be
 atomic for reasonable line sizes — concurrent pool workers therefore
-interleave whole lines, never corrupt each other. This is the same
-multi-process contract the run journal relies on.
+interleave whole lines, never corrupt each other.
 
 Writers degrade rather than fail: if the trace path cannot be opened or
 a write raises, the writer warns once and becomes a no-op — telemetry

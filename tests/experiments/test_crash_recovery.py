@@ -1,8 +1,8 @@
 """Crash-recovery property suite: SIGKILL at every publish crash point.
 
 The acceptance invariant for the storage layer: a process hard-killed at
-*any* step of an atomic publish (cache entry, trace entry, journal
-append) leaves a store from which a resumed sweep converges to results
+*any* step of an atomic publish (cache entry, trace entry) leaves a
+store from which a rerun of the same sweep converges to results
 bit-identical to an uninterrupted run — and ``lva-fsck`` accounts for
 every scrap of debris the kill left behind.
 
@@ -108,16 +108,11 @@ class TestKillAtEveryCrashPoint:
     @pytest.mark.parametrize("site", SWEEP_CRASH_POINTS)
     def test_kill_fsck_resume_bit_identical(self, tmp_path, site):
         """Property: for every publish step S — kill at S, fsck --repair,
-        resume — the final table equals an uninterrupted run's."""
+        rerun — the final table equals an uninterrupted run's."""
         cache_dir = tmp_path / "cache"
 
-        # Journal appends only happen when the sweep engine drives the
-        # run (the plain CLI path computes without journaling), so those
-        # sites need --jobs 2; the kill still lands in the parent, which
-        # owns the journal.
-        engine_args = ["--jobs", "2"] if site.startswith("journal.") else []
         returncode = _run_until_killed(
-            ["fig13", "--small", *engine_args],
+            ["fig13", "--small"],
             _runner_env(cache_dir, inject=f"kill:site={site},at=1,count=1"),
         )
         assert returncode == KILL_EXIT_STATUS, (site, returncode)
@@ -128,13 +123,13 @@ class TestKillAtEveryCrashPoint:
         rescan = json.loads(_fsck(cache_dir).stdout)
         assert rescan["clean"], rescan["findings"]
 
-        # The resumed sweep completes and matches a pristine run bit-for-bit.
-        resumed = _run_cli(["fig13", "--small", "--resume"], _runner_env(cache_dir))
-        assert resumed.returncode == 0, resumed.stderr
-        assert "FAILED" not in resumed.stdout
+        # The rerun completes and matches a pristine run bit-for-bit.
+        rerun = _run_cli(["fig13", "--small"], _runner_env(cache_dir))
+        assert rerun.returncode == 0, rerun.stderr
+        assert "FAILED" not in rerun.stdout
         pristine = _run_cli(["fig13", "--small"], _runner_env(tmp_path / "pristine"))
         assert pristine.returncode == 0, pristine.stderr
-        assert _table(resumed.stdout) == _table(pristine.stdout)
+        assert _table(rerun.stdout) == _table(pristine.stdout)
 
 
 @pytest.mark.slow

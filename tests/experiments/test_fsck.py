@@ -8,7 +8,6 @@ import pickle
 import pytest
 
 from repro.experiments import diskcache, fsck, integrity, tracestore
-from repro.experiments.journal import RunJournal
 from repro.faults import fsfaults
 from repro.faults.memory import INJECT_ENV
 from repro.sim.trace import LoadEvent, Trace
@@ -64,10 +63,8 @@ class TestScanVerdicts:
         cache.put(GOOD, {"v": 1})
         store = tracestore.TraceStore(directory=cache_dir / "traces")
         store.put(GOOD, sample_trace().pack())
-        with RunJournal(cache_dir / "journals" / "r.jsonl") as journal:
-            journal.record_done("technique", "k")
         report = fsck.scan(cache_dir)
-        assert report.counts() == {"ok": 3}
+        assert report.counts() == {"ok": 2}
         assert not report.problems
 
     def test_detects_every_injected_cache_corruption(self, cache_dir, monkeypatch):
@@ -132,19 +129,12 @@ class TestScanVerdicts:
         report = fsck.scan(cache_dir)
         assert [f.verdict for f in report.findings] == ["schema-mismatch"]
 
-    def test_journal_mid_file_garbage_is_corrupt_torn_tail_is_ok(self, cache_dir):
-        with RunJournal(cache_dir / "journals" / "a.jsonl") as journal:
-            journal.record_done("technique", "k1")
-            journal.record_done("technique", "k2")
-        path = cache_dir / "journals" / "a.jsonl"
-        lines = path.read_bytes().splitlines(keepends=True)
-        path.write_bytes(lines[0] + b"NOT JSON\n" + lines[1])
-        with RunJournal(cache_dir / "journals" / "b.jsonl") as journal:
-            journal.record_done("technique", "k1")
-        with open(cache_dir / "journals" / "b.jsonl", "ab") as handle:
-            handle.write(b'{"event": "done", "ki')  # torn tail
-        verdicts = {f.path.name: f.verdict for f in fsck.scan(cache_dir).findings}
-        assert verdicts == {"a.jsonl": "corrupt", "b.jsonl": "ok"}
+    def test_legacy_journals_directory_is_skipped(self, cache_dir):
+        """Older versions wrote run journals beside the cache; a cache
+        that still holds them scans clean."""
+        (cache_dir / "journals").mkdir()
+        (cache_dir / "journals" / "r.jsonl").write_bytes(b"NOT JSON\n")
+        assert fsck.scan(cache_dir).findings == []
 
     def test_quarantine_subtree_is_skipped(self, cache_dir):
         bad = cache_dir / integrity.QUARANTINE_DIR / "cache" / "x.pkl"
@@ -169,21 +159,6 @@ class TestRepair:
         # the good entry survived, the bad one is preserved as evidence
         assert cache.get(GOOD) == {"v": 1}
         assert (cache_dir / integrity.QUARANTINE_DIR / "cache" / f"{BAD}.pkl").exists()
-
-    def test_repair_rewrites_journal_keeping_valid_lines(self, cache_dir):
-        path = cache_dir / "journals" / "a.jsonl"
-        with RunJournal(path) as journal:
-            journal.record_done("technique", "k1")
-            journal.record_done("technique", "k2")
-        lines = path.read_bytes().splitlines(keepends=True)
-        path.write_bytes(lines[0] + b"MID-FILE GARBAGE\n" + lines[1])
-
-        report = fsck.scan(cache_dir)
-        fsck.repair(report, cache_dir)
-        reloaded = RunJournal(path, resume=True)
-        assert reloaded.done == {"k1", "k2"}
-        assert reloaded.corrupt_lines == 0  # garbage gone for good
-        reloaded.close()
 
     def test_delete_removes_instead_of_quarantining(self, cache_dir, monkeypatch):
         monkeypatch.setenv(INJECT_ENV, "torn:target=trace,op=meta.write")

@@ -1,4 +1,4 @@
-"""KeyboardInterrupt mid-sweep: clean shutdown, journal flush, resume."""
+"""KeyboardInterrupt mid-sweep: clean shutdown, then a plain rerun converges."""
 
 from __future__ import annotations
 
@@ -39,24 +39,17 @@ def _run_cli(args, env, **kwargs):
 
 @pytest.mark.slow
 class TestInterruptedSweep:
-    def test_sigint_flushes_journal_and_resume_completes(self, tmp_path):
-        """SIGINT a --jobs run stuck on an injected hang; the journal must
-        hold the completed points, and --resume must recompute only the
-        missing ones, converging to the uninterrupted table."""
+    def test_sigint_then_rerun_recomputes_hung_point(self, tmp_path):
+        """SIGINT a --jobs run stuck on an injected hang once every other
+        point's result is on disk; rerunning the same command recomputes
+        only the hung point and prints the uninterrupted table."""
         cache_dir = tmp_path / "cache"
+        command = ["fig13", "--small", "--jobs", "2"]
 
         # The hang occupies one worker while the other finishes every
         # remaining point; the parent then blocks waiting on the hang.
         process = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.experiments",
-                "fig13",
-                "--small",
-                "--jobs",
-                "2",
-            ],
+            [sys.executable, "-m", "repro.experiments", *command],
             env=_runner_env(cache_dir, inject="hang:mantissa_drop_bits=23,seconds=300"),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -64,25 +57,16 @@ class TestInterruptedSweep:
             start_new_session=True,  # own process group: SIGINT hits only it
         )
 
-        journal_dir = cache_dir / "journals"
         deadline = time.time() + 120
-        journal_file = None
         try:
-            # Wait until every non-hung point is journaled (5 of 6).
+            # Wait until every non-hung result is stored: the baseline
+            # and 4 of the 5 technique points.
             while time.time() < deadline:
-                files = list(journal_dir.glob("*.jsonl"))
-                if files:
-                    journal_file = files[0]
-                    lines = [
-                        l
-                        for l in journal_file.read_text().splitlines()
-                        if l.strip()
-                    ]
-                    if len(lines) >= 5:
-                        break
+                if len(list(cache_dir.glob("*/*.pkl"))) >= 5:
+                    break
                 time.sleep(0.1)
             else:
-                pytest.fail("journal never accumulated the healthy points")
+                pytest.fail("the healthy points never reached the disk cache")
 
             os.killpg(process.pid, signal.SIGINT)
             stdout, stderr = process.communicate(timeout=60)
@@ -92,23 +76,21 @@ class TestInterruptedSweep:
                 process.communicate()
 
         assert process.returncode == 130, (stdout, stderr)
-        assert "--resume" in stderr
+        assert "rerun the same command" in stderr
 
-        # Resume without the injected hang: recomputes only the hung point.
-        resumed = _run_cli(
-            ["fig13", "--small", "--resume"], _runner_env(cache_dir)
-        )
-        assert resumed.returncode == 0, resumed.stderr
-        assert "resumed" in resumed.stdout
-        assert "FAILED" not in resumed.stdout
+        # The same command without the injected hang recomputes only the
+        # hung point.
+        rerun = _run_cli(command, _runner_env(cache_dir))
+        assert rerun.returncode == 0, rerun.stderr
+        assert "1 baselines (0 computed), 1 technique runs, 5 disk hits" in rerun.stdout
+        assert "FAILED" not in rerun.stdout
 
-        # And the resumed table equals a pristine uninterrupted run.
-        pristine = _run_cli(
-            ["fig13", "--small"], _runner_env(tmp_path / "cache2")
-        )
+        # And its table equals a pristine uninterrupted run's.
+        pristine = _run_cli(["fig13", "--small"], _runner_env(tmp_path / "cache2"))
+
         def table(text: str) -> str:
             start = text.index("== Figure 13")
             end = text.index("[fig13 completed")  # wall-clock suffix varies
             return text[start:end]
 
-        assert table(resumed.stdout) == table(pristine.stdout)
+        assert table(rerun.stdout) == table(pristine.stdout)

@@ -2,7 +2,7 @@
 
 Every fault class the injector knows (torn write, lost fsync, byte
 corruption, truncated published file, ENOSPC, EIO, failed rename) is
-driven through the real DiskCache / TraceStore / RunJournal code paths.
+driven through the real DiskCache / TraceStore code paths.
 The invariant under test is always the same: a damaged entry heals as a
 miss (recompute), a failing store degrades loudly (warn-once), and a
 sweep under storage chaos converges to results bit-identical to a
@@ -17,7 +17,6 @@ import pytest
 
 from repro import telemetry
 from repro.experiments import common, diskcache, fig13, integrity, tracestore
-from repro.experiments.journal import RunJournal
 from repro.experiments.sweep import SweepEngine
 from repro.faults import fsfaults
 from repro.faults.memory import INJECT_ENV
@@ -201,31 +200,6 @@ class TestTraceChaos:
             assert capsys.readouterr().err.count("corrupt trace entry") == 1
         finally:
             telemetry.shutdown()
-
-
-class TestJournalChaos:
-    def test_append_enospc_degrades_to_warn_once(self, monkeypatch, tmp_path):
-        journal = RunJournal(tmp_path / "run.jsonl", resume=False)
-        _inject(monkeypatch, "enospc:target=journal")
-        with pytest.warns(RuntimeWarning, match="journal unavailable"):
-            journal.record_done("technique", "k1")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            journal.record_done("technique", "k2")  # silent no-op now
-        journal.close()
-
-    def test_torn_append_recovers_all_complete_records(self, monkeypatch, tmp_path):
-        path = tmp_path / "run.jsonl"
-        journal = RunJournal(path, resume=False)
-        journal.record_done("technique", "k1")
-        _inject(monkeypatch, "torn:target=journal,frac=0.5")
-        journal.record_done("technique", "k2")  # line torn mid-append
-        journal.close()
-        monkeypatch.delenv(INJECT_ENV)
-        reloaded = RunJournal(path, resume=True)
-        assert reloaded.done == {"k1"}  # torn record lost, never resurrected
-        assert reloaded.torn_tail
-        reloaded.close()
 
 
 class TestSweepUnderStorageChaos:

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro import faults
 from repro.core.config import ApproximatorConfig
-from repro.experiments import common, diskcache, fig4, fig12, fig13, runner
+from repro.experiments import common, diskcache, fig4, fig12, fig13, runner, sweep
 from repro.experiments.common import (
     SweepPoint,
     fullsystem_point,
@@ -75,34 +81,36 @@ class TestSweepPoint:
 
 class TestDeterministicBackoff:
     """Retry backoff jitter is a pure function of (seed, key, attempt) —
-    schedule-independent, so a resumed/parallel run never perturbs it."""
+    schedule-independent, so a rerun or parallel run never perturbs it."""
 
     def test_same_inputs_same_delay(self):
-        a = SweepEngine(jobs=1, backoff_base=0.1, jitter_seed=7)
-        b = SweepEngine(jobs=4, backoff_base=0.1, jitter_seed=7)
+        a = SweepEngine(jobs=1, jitter_seed=7)
+        b = SweepEngine(jobs=4, jitter_seed=7)
         for attempt in (1, 2, 3):
             assert a._backoff_delay(attempt, "k") == b._backoff_delay(attempt, "k")
 
     def test_delay_varies_with_seed_key_and_attempt(self):
-        engine = SweepEngine(jobs=1, backoff_base=0.1, jitter_seed=7)
-        other = SweepEngine(jobs=1, backoff_base=0.1, jitter_seed=8)
+        engine = SweepEngine(jobs=1, jitter_seed=7)
+        other = SweepEngine(jobs=1, jitter_seed=8)
         assert engine._backoff_delay(1, "k") != other._backoff_delay(1, "k")
         assert engine._backoff_delay(1, "k") != engine._backoff_delay(1, "k2")
         assert engine._backoff_delay(1, "k") != engine._backoff_delay(2, "k")
 
     def test_delay_within_jitter_band_and_capped(self):
-        engine = SweepEngine(
-            jobs=1, backoff_base=0.1, backoff_cap=1.0, jitter_seed=3
-        )
+        engine = SweepEngine(jobs=1, jitter_seed=3)
+        capped = 0
         for attempt in range(1, 10):
-            nominal = min(1.0, 0.1 * 2 ** (attempt - 1))
+            doubled = sweep.BACKOFF_BASE * 2 ** (attempt - 1)
+            nominal = min(sweep.BACKOFF_CAP, doubled)
+            capped += doubled > sweep.BACKOFF_CAP
             delay = engine._backoff_delay(attempt, f"key-{attempt}")
             assert 0.5 * nominal <= delay < 1.5 * nominal
+        assert capped  # the last attempts reach the cap
 
     def test_independent_of_call_order(self):
-        engine = SweepEngine(jobs=1, backoff_base=0.1, jitter_seed=5)
+        engine = SweepEngine(jobs=1, jitter_seed=5)
         forward = [engine._backoff_delay(n, "k") for n in (1, 2, 3)]
-        fresh = SweepEngine(jobs=1, backoff_base=0.1, jitter_seed=5)
+        fresh = SweepEngine(jobs=1, jitter_seed=5)
         backward = [fresh._backoff_delay(n, "k") for n in (3, 2, 1)]
         assert forward == backward[::-1]
 
@@ -299,23 +307,42 @@ class TestRestorePass:
         assert report.pool_rebuilds == 0
         assert report.disk_hits == 8 and report.trace_store_hits == 1
 
-    def test_resume_counts_only_points_the_kept_journal_holds(self, disk_cache):
-        """Two points can share a disk key. The record the pass writes for
-        the first must not make the second count as resumed."""
-        points = [
-            technique_point("canneal", Mode.LVA, small=True, faults="flip:prob=0.001"),
-            technique_point("canneal", Mode.LVA, small=True, faults="flip:prob=1e-3"),
-        ]
-        assert point_disk_key(points[0]) == point_disk_key(points[1])
-        SweepEngine(jobs=1).execute(points)
+    def test_rerun_after_a_failed_point_recomputes_only_it(self, disk_cache):
+        """A failed point stores nothing, so a plain rerun recomputes
+        exactly that point and renders no FAILED cell."""
+        points = fig13.DRIVER.points(small=True)
+        faults.activate("raise:mantissa_drop_bits=11")
+        try:
+            first = SweepEngine(jobs=1).execute(points)
+        finally:
+            faults.deactivate()
+        assert len(first.failures) == 1
         _forget_in_process_results()
-        for journal in (diskcache.default_cache_dir() / "journals").glob("*.jsonl"):
-            journal.unlink()
 
-        report = SweepEngine(jobs=1, resume=True).execute(points)
+        second = SweepEngine(jobs=1).execute(points)
 
-        assert report.resumed_points == 0
-        assert report.disk_hits == 3  # the baseline and both points
+        assert not second.failures
+        assert second.technique_computed == 1
+        assert second.disk_hits == 5  # the baseline and 4 healthy points
+        table = fig13.DRIVER.render(small=True)
+        assert not any(math.isnan(v) for v in table.series["normalized_mpki"].values())
+        assert "FAILED" not in table.format_table()
+
+    def test_no_cache_sweep_creates_nothing_in_cache_dir(
+        self, fresh_results, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv(diskcache.NO_CACHE_ENV, "1")
+        monkeypatch.setenv(diskcache.CACHE_DIR_ENV, str(tmp_path / "nope"))
+        SweepEngine(jobs=1).execute(fig13.DRIVER.points(small=True))
+        assert not (tmp_path / "nope").exists()
+
+    def test_pooled_sweep_writes_only_results(self, disk_cache):
+        """The stores are the checkpoint: a sweep leaves its results in
+        the disk cache and nothing beside them, no ``journals/``."""
+        SweepEngine(jobs=2).execute(fig13.DRIVER.points(small=True))
+        root = diskcache.default_cache_dir()
+        assert not (root / "journals").exists()
+        assert all(len(entry.name) == 2 for entry in root.iterdir())  # shards
 
     def test_wall_clock_step_back_keeps_elapsed_non_negative(
         self, disk_cache, monkeypatch
@@ -385,3 +412,45 @@ class TestRunnerIntegration:
         name, _, elapsed, _ = runner._run_one("table2", 1, True, 0)
         assert name == "table2"
         assert elapsed >= 0
+
+
+#: Installs the engine's SIGTERM handler, forks a child that inherits it,
+#: terminates the child after ``argv[1]`` seconds and prints its exit
+#: code; then checks that SIGTERM still interrupts the installing process.
+_SIGTERM_SCRIPT = r"""
+import multiprocessing, os, signal, sys, time
+from repro.experiments.sweep import SweepEngine
+
+SweepEngine()._install_signal_handler()
+child = multiprocessing.get_context("fork").Process(target=time.sleep, args=(30,))
+child.start()
+time.sleep(float(sys.argv[1]))
+child.terminate()
+child.join(30)
+print(child.exitcode)
+try:
+    os.kill(os.getpid(), signal.SIGTERM)
+    time.sleep(5)
+except KeyboardInterrupt:
+    print("interrupted")
+"""
+
+
+class TestSigtermHandler:
+    @pytest.mark.parametrize("delay", [0.0, 0.2])
+    def test_forked_child_dies_quietly(self, delay):
+        """A worker forked while the handler is installed dies of the
+        signal, with no KeyboardInterrupt traceback; the installing
+        process still turns SIGTERM into KeyboardInterrupt."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", _SIGTERM_SCRIPT, str(delay)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(-signal.SIGTERM), "interrupted"]
+        assert "KeyboardInterrupt" not in proc.stderr

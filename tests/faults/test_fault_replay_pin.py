@@ -4,7 +4,7 @@ The deterministic ``flip``/``drop`` fault stream must perturb the packed
 replay exactly as it perturbs the object reference (the same events fed
 through the workload-facing API), and must actually change a replay's
 outcome (otherwise every faulted pin would be vacuous). A storage-only
-``REPRO_INJECT`` spec — torn cache writes, journal kills — must leave a
+``REPRO_INJECT`` spec — torn cache writes, kills mid-publish — must leave a
 replay bit-identical to a clean one: storage clauses never reach the
 simulated memory system.
 """
@@ -82,7 +82,7 @@ class TestFaultedPackedPin:
     def test_storage_faults_leave_replay_intact(self, traces, monkeypatch):
         trace = traces["fluidanimate"]
         clean_stats, clean_sim = _replay(trace)
-        monkeypatch.setenv(INJECT_ENV, "torn:target=cache;kill:site=journal")
+        monkeypatch.setenv(INJECT_ENV, "torn:target=cache;kill:site=cache.publish")
         stats, sim = _replay(trace)
         assert stats == clean_stats
         assert sim.l1.stats == clean_sim.l1.stats

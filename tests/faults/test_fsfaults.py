@@ -7,6 +7,7 @@ import errno
 import pytest
 
 from repro import faults
+from repro.errors import ConfigurationError
 from repro.experiments.common import technique_disk_key
 from repro.faults import fsfaults
 from repro.faults.memory import INJECT_ENV, active_memory_spec
@@ -39,10 +40,18 @@ class TestSpecGrammar:
         assert [c.kind for c in storage] == ["torn"]
 
     def test_unknown_kind_still_rejected(self):
-        from repro.errors import ConfigurationError
-
         with pytest.raises(ConfigurationError):
             parse_spec("shred:target=cache")
+
+    @pytest.mark.parametrize("target", ["cache", "trace", "any"])
+    def test_every_store_target_parses(self, target):
+        assert parse_spec(f"torn:target={target}")[0].get("target") == target
+
+    @pytest.mark.parametrize("target", ["cahce", "journal", "1"])
+    def test_target_naming_no_store_is_rejected(self, target):
+        """Such a clause would parse and inject nothing."""
+        with pytest.raises(ConfigurationError, match="names no store"):
+            parse_spec(f"kill:target={target},site=publish")
 
     def test_mixed_families_coexist(self):
         clauses = parse_spec("torn;flip:prob=0.5;flaky:fails=1")
@@ -54,7 +63,7 @@ class TestFoldIntoNothing:
     """Storage clauses must never reach any result-cache key."""
 
     def test_memory_spec_ignores_storage_clauses(self, monkeypatch):
-        _activate(monkeypatch, "torn:target=cache;eio:target=trace;kill:site=journal")
+        _activate(monkeypatch, "torn:target=cache;eio:target=trace;kill:site=trace.publish")
         assert active_memory_spec() == ""
 
     def test_memory_spec_keeps_memory_clauses_only(self, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 
 from repro import faults
 from repro.errors import FaultInjectionError, WorkerCrashError
-from repro.experiments import fig10, fig13
+from repro.experiments import fig10, fig13, sweep
 from repro.experiments.sweep import SweepEngine
 
 #: Selects exactly one of the five fig13 points (drop-11).
@@ -42,16 +42,20 @@ class TestSerialSupervision:
         assert [f.error_type for f in report.failures] == ["WorkerCrashError"]
         assert report.unique_points - len(report.failures) == 4
 
-    def test_retries_exhausted_counts_attempts(self, fresh_results):
+    @pytest.fixture
+    def fast_retries(self, monkeypatch):
+        monkeypatch.setattr(sweep, "BACKOFF_BASE", 0.01)
+
+    def test_retries_exhausted_counts_attempts(self, fresh_results, fast_retries):
         faults.activate("raise:mantissa_drop_bits=11")
-        engine = SweepEngine(jobs=1, retries=2, backoff_base=0.01)
+        engine = SweepEngine(jobs=1, retries=2)
         report = engine.execute(fig13.DRIVER.points(small=True))
         assert report.retried_attempts == 2
         assert report.failures[0].attempts == 3
 
-    def test_flaky_point_recovers_with_retries(self, fresh_results):
+    def test_flaky_point_recovers_with_retries(self, fresh_results, fast_retries):
         faults.activate("flaky:mantissa_drop_bits=11,fails=1")
-        engine = SweepEngine(jobs=1, retries=1, backoff_base=0.01)
+        engine = SweepEngine(jobs=1, retries=1)
         report = engine.execute(fig13.DRIVER.points(small=True))
         assert not report.failures
         assert report.retried_attempts == 1
@@ -137,7 +141,7 @@ class TestUnmatchedClauseWarning:
 
     @pytest.fixture(autouse=True)
     def _no_waves(self, fresh_results, monkeypatch):
-        monkeypatch.setattr(SweepEngine, "_run_wave", lambda self, tasks, journal: None)
+        monkeypatch.setattr(SweepEngine, "_run_wave", lambda self, tasks: None)
 
     def _stderr_of_fig10_sweep(self, capsys) -> str:
         SweepEngine(jobs=1).execute(fig10.DRIVER.points(small=True))

@@ -9,7 +9,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.telemetry.profiling import (
     Profiler,
-    maybe_profiler,
     profile_to_text,
     validate_speedscope,
 )
@@ -42,10 +41,6 @@ class TestFrames:
     def test_end_without_begin_raises(self):
         with pytest.raises(ConfigurationError):
             Profiler().end("never-opened")
-
-    def test_maybe_profiler_guard_idiom(self):
-        assert maybe_profiler(False) is None
-        assert isinstance(maybe_profiler(True, "x"), Profiler)
 
 
 class TestSpeedscope:

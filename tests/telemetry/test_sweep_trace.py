@@ -19,8 +19,7 @@ def _cached_events(records):
 class TestServedPoints:
     def test_lifecycle_balances_on_warm_traced_runs(self, disk_cache, tmp_path):
         """Every queued point is cached, done or failed, and each cached
-        one names where it came from: disk, the trace store, or a
-        journal that ``resume`` kept."""
+        one names where it came from: disk or the trace store."""
         technique = fig13.DRIVER.points(small=True)
         points = technique + [fullsystem_point("swaptions", small=True)]
         SweepEngine(jobs=1).execute(points)
@@ -34,16 +33,14 @@ class TestServedPoints:
             # 1 baseline, 1 capture, 5 technique points and 1 replay; the
             # deleted technique point is the only one computed.
             warm = SweepEngine(jobs=1).execute(points)
-            resumed = SweepEngine(jobs=1, resume=True).execute(points)
         finally:
             telemetry.shutdown()
 
         assert (warm.technique_computed, warm.disk_hits) == (1, 6)
         assert warm.trace_store_hits == 1
-        assert resumed.resumed_points == 8
         records = read_trace(trace)
         lifecycle = summarize(records)["point_lifecycle"]
-        assert lifecycle["queued"] == 16
+        assert lifecycle["queued"] == 8
         assert lifecycle["queued"] == (
             lifecycle["cached"] + lifecycle["done"] + lifecycle.get("failed", 0)
         )
@@ -55,9 +52,5 @@ class TestServedPoints:
             ("technique", "disk"): 4,
             ("fullsystem", "disk"): 1,
             ("capture", "store"): 1,
-            ("precise", "resumed"): 1,
-            ("technique", "resumed"): 5,
-            ("fullsystem", "resumed"): 1,
-            ("capture", "resumed"): 1,
         }
         assert all(event["point"] for event in _cached_events(records))
